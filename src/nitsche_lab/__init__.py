@@ -7,7 +7,6 @@ distortion bound rho2/rho1 >= Psi Mod^2 + 1.
 
 from .comparison import ComparisonReport, hessian_check, osserman_check
 from .errors import (
-    BracketingError,
     DivergenceError,
     DomainError,
     MaskError,
@@ -53,6 +52,7 @@ from .radial import (
     RadialProfile,
     critical_modulus,
     critical_outer,
+    modulus_of_slope,
     nitsche_euclidean,
     nitsche_ndim,
     ode_rhs,

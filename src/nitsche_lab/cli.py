@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 
 import numpy as np
@@ -18,7 +17,6 @@ import numpy as np
 from . import __version__
 from .comparison import STATUS_OK, hessian_check, osserman_check
 from .errors import (
-    BracketingError,
     DivergenceError,
     DomainError,
     MaskError,
@@ -26,7 +24,7 @@ from .errors import (
     UnsupportedDataError,
 )
 from .grid import AnnulusGrid
-from .metrics import CurvatureBound, load_metric
+from .metrics import CurvatureBound, constant_curvature_metric, load_metric
 from .modulus import Circular, modulus_capacity, modulus_circular
 from .pde import residual_norm, solve_dirichlet
 from .radial import NoSolution, shoot, solve_bvp
@@ -61,7 +59,7 @@ def build_parser() -> _Parser:
     common = [_common()]
 
     p = sub.add_parser("solve-radial", parents=common,
-                       help="radial harmonic map by shooting / slope bisection")
+                       help="radial harmonic map from the first integral")
     p.add_argument("--metric", required=True)
     p.add_argument("--rho1", type=float, required=True)
     g = p.add_mutually_exclusive_group(required=True)
@@ -186,17 +184,14 @@ def _cmd_modulus(args) -> int:
         if len(spec) != 3:
             raise _CliInputError("circular domain needs: --domain circular R1 R2")
         r1, r2 = float(spec[1]), float(spec[2])
-        cap = modulus_capacity(Circular(r1, r2), args.n)
-        payload = {"modulus": cap, "closed_form": modulus_circular(r1, r2), "n": args.n}
     else:
         with open(spec[0], encoding="utf-8") as fh:
             d = json.load(fh)
         if d.get("kind") != "circular":
             raise _CliInputError("domain files support kind 'circular'")
-        cap = modulus_capacity(Circular(d["r1"], d["r2"]), args.n)
-        payload = {"modulus": cap, "closed_form": modulus_circular(d["r1"], d["r2"]),
-                   "n": args.n}
-    _emit(args, payload)
+        r1, r2 = d["r1"], d["r2"]
+    cap = modulus_capacity(Circular(r1, r2), args.n)
+    _emit(args, {"modulus": cap, "closed_form": modulus_circular(r1, r2), "n": args.n})
     return OK
 
 
@@ -218,8 +213,6 @@ def _against_metric(spec: str):
         sign = parts[1]
         kappa = float(parts[2]) if len(parts) > 2 else None
         bound = CurvatureBound(sign, kappa)
-        from .metrics import constant_curvature_metric
-
         return constant_curvature_metric(bound), bound
     return load_metric(spec), None
 
@@ -291,7 +284,7 @@ def main(argv=None) -> int:
             json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return BAD_INPUT
-    except (DivergenceError, RangeExitError, BracketingError) as exc:
+    except (DivergenceError, RangeExitError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_FAIL
 

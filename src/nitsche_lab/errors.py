@@ -16,10 +16,6 @@ class RangeExitError(RuntimeError):
         self.exit_time = exit_time
 
 
-class BracketingError(RuntimeError):
-    """A root search could not bracket a solution."""
-
-
 class DivergenceError(RuntimeError):
     """An iterative solver stopped making progress."""
 

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError
 
@@ -247,13 +246,13 @@ class RotMetric:
             s = self.inverse_distance(rho)
             h = self.density(s)
             return (h + self.density_prime(s) * s) / h
-        return self._fd_on_G(rho, order=1)
+        return self._fd_on_G(rho, power=1)
 
     def dG2(self, rho):
         """d(G^2)/d rho = 2 g (h + h' g); the radial harmonic-map source term is half this."""
         if self._g_analytic is not None or self.density_prime is not None:
             return 2.0 * self.G(rho) * self.G_prime(rho)
-        return self._fd_on_G2(rho)
+        return self._fd_on_G(rho, power=2)
 
     def d2G2(self, rho):
         """Second derivative of G^2, used by the Newton linearisation."""
@@ -264,18 +263,12 @@ class RotMetric:
         hi = np.minimum(hi, self.rho_max * (1 - 1e-12)) if np.isfinite(self.rho_max) else hi
         return (self.dG2(hi) - self.dG2(lo)) / (hi - lo)
 
-    def _fd_on_G(self, rho, order: int):
+    def _fd_on_G(self, rho, power: int):
+        """4th-order centered difference of G**power."""
         self.check_rho(rho)
         rho = np.asarray(rho, dtype=float)
         h = 1e-5
-        vals = [self.G(np.clip(rho + k * h, 1e-300, None)) for k in (-2, -1, 1, 2)]
-        return (vals[0] - 8 * vals[1] + 8 * vals[2] - vals[3]) / (12 * h)
-
-    def _fd_on_G2(self, rho):
-        self.check_rho(rho)
-        rho = np.asarray(rho, dtype=float)
-        h = 1e-5
-        vals = [self.G(np.clip(rho + k * h, 1e-300, None)) ** 2 for k in (-2, -1, 1, 2)]
+        vals = [self.G(np.clip(rho + k * h, 1e-300, None)) ** power for k in (-2, -1, 1, 2)]
         return (vals[0] - 8 * vals[1] + 8 * vals[2] - vals[3]) / (12 * h)
 
 
@@ -334,15 +327,28 @@ def constant_curvature_metric(bound: CurvatureBound) -> RotMetric:
     )
 
 
+def distance_table(density: Callable, s_max: float, n_knots: int):
+    """Distance d(s) = integral_0^s h and its inverse as PCHIP interpolants, from
+    cumulative composite Simpson on 2 n_knots equal intervals of [0, s_max]."""
+    from scipy.interpolate import PchipInterpolator
+
+    fine = np.linspace(0.0, s_max, 2 * n_knots + 1)
+    hv = density(fine)
+    seg = (fine[1] - fine[0]) / 3.0 * (hv[0:-2:2] + 4.0 * hv[1:-1:2] + hv[2::2])
+    d_knots = np.concatenate([[0.0], np.cumsum(seg)])
+    return PchipInterpolator(fine[::2], d_knots), PchipInterpolator(d_knots, fine[::2])
+
+
 def metric_from_profile(samples, bound: CurvatureBound | None = None,
                         label: str = "profile") -> RotMetric:
     """Build a metric from (s, h(s)) samples.
 
-    The density is interpolated by a monotone cubic (PCHIP), the distance is
-    its cumulative Simpson integral on >= 1024 refined knots, and the inverse
-    distance is the PCHIP interpolant of the reflected table.  Zero or
+    The density is interpolated by a monotone cubic (PCHIP); distance and
+    inverse come from :func:`distance_table` on >= 1024 knots.  Zero or
     negative density samples are rejected.
     """
+    from scipy.interpolate import PchipInterpolator
+
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 4:
         raise DomainError("profile samples must be an (n, 2) array with n >= 4")
@@ -356,23 +362,13 @@ def metric_from_profile(samples, bound: CurvatureBound | None = None,
         h = np.concatenate([[h[0]], h])
     density = PchipInterpolator(s, h)
     s_max = float(s[-1])
-
-    n_knots = max(1024, 4 * len(s))
-    fine = np.linspace(0.0, s_max, 2 * n_knots + 1)
-    hv = density(fine)
-    step = fine[1] - fine[0]
-    # composite Simpson on consecutive pairs of intervals
-    seg = step / 3.0 * (hv[0:-2:2] + 4.0 * hv[1:-1:2] + hv[2::2])
-    d_knots = np.concatenate([[0.0], np.cumsum(seg)])
-    s_knots = fine[::2]
-    distance = PchipInterpolator(s_knots, d_knots)
-    inverse = PchipInterpolator(d_knots, s_knots)
+    distance, inverse = distance_table(density, s_max, max(1024, 4 * len(s)))
     return RotMetric(
         density=density,
         distance=distance,
         inverse_distance=inverse,
         domain_radius=s_max,
-        rho_max=float(d_knots[-1]),
+        rho_max=float(inverse.x[-1]),
         density_prime=density.derivative(),
         bound=bound,
         label=label,
@@ -429,8 +425,8 @@ class GeodesicAnnulus:
     bound: CurvatureBound
 
     def __post_init__(self):
-        if not (0 < self.rho1 < self.rho2):
-            raise DomainError("need 0 < rho1 < rho2")
+        if not (0 < self.rho1 < self.rho2 < math.inf):
+            raise DomainError("need 0 < rho1 < rho2 < inf")
         if self.rho2 > self.bound.cap + 1e-15:
             raise DomainError(
                 f"outer radius {self.rho2:.6g} exceeds the admissible cap "

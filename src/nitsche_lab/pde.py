@@ -195,6 +195,16 @@ def _radial_discrete_profile(m: RotMetric, rho1: float, rho2: float,
     return rho
 
 
+def _half_nodes(g: AnnulusGrid, m: RotMetric, rho: np.ndarray, u: np.ndarray):
+    """(+, -) half-node pairs on interior rows: a = G^2 along t and phi, D_t u, D_phi theta."""
+    a = np.asarray(m.G(rho)) ** 2
+    return ((0.5 * (a[1:-1] + a[2:]), 0.5 * (a[1:-1] + a[:-2])),
+            (0.5 * (a + np.roll(a, -1, axis=1))[1:-1], 0.5 * (a + np.roll(a, 1, axis=1))[1:-1]),
+            ((u[2:] - u[1:-1]) / g.h_t, (u[1:-1] - u[:-2]) / g.h_t),
+            (1.0 + (np.roll(u, -1, axis=1) - u)[1:-1] / g.h_phi,
+             1.0 + (u - np.roll(u, 1, axis=1))[1:-1] / g.h_phi))
+
+
 def _system_residual(g: AnnulusGrid, m: RotMetric, rho: np.ndarray, u: np.ndarray):
     """Residuals (F1, F2) of the 2nd-order discrete system on interior rows."""
     ht, hp = g.h_t, g.h_phi
@@ -207,15 +217,7 @@ def _system_residual(g: AnnulusGrid, m: RotMetric, rho: np.ndarray, u: np.ndarra
     dG2 = np.asarray(m.dG2(rho[1:-1]))
     F1 = lap_rho - 0.5 * dG2 * ang
 
-    a = np.asarray(m.G(rho)) ** 2
-    a_tp = 0.5 * (a[1:-1] + a[2:])
-    a_tm = 0.5 * (a[1:-1] + a[:-2])
-    a_pp = 0.5 * (a + np.roll(a, -1, axis=1))[1:-1]
-    a_pm = 0.5 * (a + np.roll(a, 1, axis=1))[1:-1]
-    du_tp = (u[2:] - u[1:-1]) / ht
-    du_tm = (u[1:-1] - u[:-2]) / ht
-    tau_p = 1.0 + (np.roll(u, -1, axis=1) - u)[1:-1] / hp
-    tau_m = 1.0 + (u - np.roll(u, 1, axis=1))[1:-1] / hp
+    (a_tp, a_tm), (a_pp, a_pm), (du_tp, du_tm), (tau_p, tau_m) = _half_nodes(g, m, rho, u)
     F2 = (a_tp * du_tp - a_tm * du_tm) / ht + (a_pp * tau_p - a_pm * tau_m) / hp
     return F1, F2
 
@@ -268,15 +270,7 @@ def _assemble_jacobian(g: AnnulusGrid, m: RotMetric, rho: np.ndarray, u: np.ndar
     add(k0, k_pm + N, dG2_int * theta_p / (2 * hp))
 
     # F2 rows (block row N)
-    a = np.asarray(m.G(rho)) ** 2
-    a_tp = 0.5 * (a[1:-1] + a[2:])
-    a_tm = 0.5 * (a[1:-1] + a[:-2])
-    a_pp = 0.5 * (a + np.roll(a, -1, axis=1))[1:-1]
-    a_pm = 0.5 * (a + np.roll(a, 1, axis=1))[1:-1]
-    du_tp = (u[2:] - u[1:-1]) / ht
-    du_tm = (u[1:-1] - u[:-2]) / ht
-    tau_p = 1.0 + (np.roll(u, -1, axis=1) - u)[1:-1] / hp
-    tau_m = 1.0 + (u - np.roll(u, 1, axis=1))[1:-1] / hp
+    (a_tp, a_tm), (a_pp, a_pm), (du_tp, du_tm), (tau_p, tau_m) = _half_nodes(g, m, rho, u)
 
     # d F2 / d u
     add(k0 + N, k0 + N, -(a_tp + a_tm) / ht**2 - (a_pp + a_pm) / hp**2)

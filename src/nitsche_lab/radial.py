@@ -9,10 +9,12 @@ a metric with angular coefficient ``G`` reduces, in the log-radius variable
     rho_tt = (1/2) d(G^2)/d rho  (= G G'),
 
 because the planar Laplacian of a radial function is ``e^{-2t} rho_tt`` and
-``|grad arg z|^2 = e^{-2t}``.  This module integrates that equation (RK4 with
-a half-step Richardson cross-check), solves the two-point boundary problem by
-bisection on the initial slope, and provides the classical closed-form radial
-maps between Euclidean annuli that serve as oracles for everything else.
+``|grad arg z|^2 = e^{-2t}``.  The equation conserves ``rho_t^2 - G(rho)^2``,
+so the modulus T(v0) at which the trajectory from (rho1, v0) reaches rho2 is
+one quadrature: the critical modulus is T(0), and the boundary problem is the
+root of T(v0) = T.  RK4 (with a half-step Richardson cross-check) only samples
+trajectories.  The classical closed-form radial maps between Euclidean annuli
+serve as oracles for everything else.
 """
 
 from __future__ import annotations
@@ -22,13 +24,19 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
-from .errors import BracketingError, DomainError
-from .metrics import RotMetric
+from .errors import DivergenceError, DomainError
+from .metrics import GeodesicAnnulus, RotMetric
 
-BVP_TOL = 1e-9
 DEFAULT_STEPS = 4096
+QUAD_TOL = 1e-12  # absolute error target of the T(v0) quadrature
+CRITICAL_RTOL = 1e-12  # relative band around T(0) where the inner slope is 0
+_NEAR_ZONE = 1e-3  # G - G(rho1) from G' within this fraction of G1/G1' of rho1
+_MAX_PANELS = 1 << 13
+_EPS = float(np.finfo(float).eps)
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(32)
+_GL4_S, _GL4_W = np.polynomial.legendre.leggauss(4)
+_GL4_S, _GL4_W = 0.5 * (_GL4_S + 1.0), 0.5 * _GL4_W  # on [0, 1]
 
 
 def ode_rhs(m: RotMetric, rho):
@@ -94,7 +102,9 @@ class RadialProfile:
         return bool(np.all(np.diff(self.rho) > 0))
 
     @cached_property
-    def _spline(self) -> CubicSpline:
+    def _spline(self):
+        from scipy.interpolate import CubicSpline
+
         return CubicSpline(self.t_grid, self.rho)
 
     def rho_at(self, t):
@@ -174,12 +184,73 @@ def critical_outer(m: RotMetric, rho1: float, T: float,
     return prof.rho2
 
 
+def _check_annulus(m: RotMetric, rho1: float, rho2: float) -> float:
+    """Validate radial data (cap and finiteness by :class:`GeodesicAnnulus` when
+    the metric has a bound; G'(rho1) > 0) and return q0 = (G^2)'(rho1)."""
+    if m.bound is not None:
+        GeodesicAnnulus(rho1, rho2, m.bound)
+    elif not 0 < rho1 < rho2 < math.inf:
+        raise DomainError("need 0 < rho1 < rho2 < inf")
+    m.check_rho(rho2)
+    q0 = float(m.dG2(rho1))
+    if not q0 > 0:
+        raise DomainError(f"G'(rho1) <= 0 at rho1 = {rho1:.6g}: radial maps are not monotone")
+    return q0
+
+
+def modulus_of_slope(m: RotMetric, rho1: float, rho2: float, v0: float,
+                     tol: float = QUAD_TOL) -> float:
+    """Modulus T(v0) at which the trajectory from (rho1, v0) reaches rho2.
+
+    ``T(v0) = int_{rho1}^{rho2} d rho / sqrt(v0^2 + G^2 - G1^2)``, G1 = G(rho1),
+    strictly decreasing in v0 and below (rho2 - rho1)/v0.  In tau =
+    sqrt(v0^2 + q0 u) - v0 (u = rho - rho1) the integrand 2 (v0 + tau) /
+    (q0 sqrt(v0^2 + G^2 - G1^2)) is smooth for every v0 >= 0; 32-point
+    Gauss-Legendre panels in sigma, tau = tau_max sigma^2, keep its weak
+    branch point near -v0 sqrt(v0 / tau_max) away.  Panels double until two
+    successive sums agree to ``tol``.  Raises DomainError where G <= G1.
+    """
+    if not 0 <= v0 < math.inf:
+        raise DomainError("need a finite slope v0 >= 0")
+    q0 = _check_annulus(m, rho1, rho2)
+    g1 = float(m.G(rho1))
+    near_u = _NEAR_ZONE * 2.0 * g1 * g1 / q0  # a fraction of the length G1/G1'
+    tau_max = q0 * (rho2 - rho1) / (math.sqrt(v0 * v0 + q0 * (rho2 - rho1)) + v0)
+
+    def integrand(tau):
+        u = tau * (tau + 2.0 * v0) / q0
+        rho = rho1 + u
+        diff = np.asarray(m.G(rho), dtype=float) - g1
+        near = u < near_u
+        if np.any(near):
+            # G - G1 as u times the mean of G' over [rho1, rho]: a plain
+            # difference loses all its digits as u -> 0
+            un = u[near]
+            diff[near] = un * (np.asarray(m.G_prime(rho1 + un[:, None] * _GL4_S)) @ _GL4_W)
+        if np.any(diff <= 0):
+            raise DomainError(f"G({rho[diff <= 0][0]:.6g}) <= G(rho1): radial maps from "
+                              f"rho1 = {rho1:.6g} are not monotone up to rho2")
+        return 2.0 * (v0 + tau) / (q0 * np.sqrt(v0 * v0 + diff * (diff + 2.0 * g1)))
+
+    prev, panels = math.nan, 1
+    while panels <= _MAX_PANELS:
+        h = 1.0 / panels
+        sigma = (h * np.arange(panels)[:, None] + 0.5 * h * (_GL_X + 1.0)).ravel()
+        vals = integrand(tau_max * sigma * sigma) * (2.0 * tau_max * sigma)
+        total = 0.5 * h * float(np.sum(vals.reshape(panels, -1) @ _GL_W))
+        if abs(total - prev) <= max(tol, 64 * _EPS * abs(total)):
+            return total
+        prev, panels = total, 2 * panels
+    raise DivergenceError(f"T(v0) quadrature did not settle to {tol:g} on {_MAX_PANELS} panels")
+
+
 @dataclass(frozen=True)
 class NoSolution:
     """Nonexistence result of the radial boundary-value problem.
 
     The zero-slope trajectory already overshoots the requested outer radius:
-    no monotone radial harmonic map with this data exists.
+    no monotone radial harmonic map with this data exists.  ``critical_outer``
+    is where it ends at the requested modulus (``inf`` past the metric range).
     """
 
     rho1: float
@@ -190,86 +261,42 @@ class NoSolution:
 
 
 def solve_bvp(m: RotMetric, rho1: float, rho2: float, T: float,
-              n_steps: int = DEFAULT_STEPS, tol: float = BVP_TOL):
+              n_steps: int = DEFAULT_STEPS, tol: float = QUAD_TOL):
     """Monotone radial solution with rho(0) = rho1, rho(T) = rho2, or NoSolution.
 
-    Bisection on the initial slope in [0, 10 (rho2 - rho1)/T]; convexity of
-    the trajectory makes ten chord slopes a safe upper bracket.  Returns
-    :class:`NoSolution` when even the zero-slope trajectory ends above rho2.
+    The inner slope is the root of T(v0) = T (:func:`modulus_of_slope`, ``tol``
+    its quadrature error) on the proven bracket [0, (rho2 - rho1)/T].
+    :class:`NoSolution` comes exactly when T(0) < T; within a relative 1e-12
+    of T(0) the slope is 0.  One RK4 :func:`shoot` of ``n_steps`` samples the
+    profile, whose ``boundary_error`` is its miss at rho2.
     """
-    if not rho1 < rho2:
-        raise DomainError("need rho1 < rho2")
-    m.check_rho(rho1)
-    m.check_rho(rho2)
+    if not 0 < T < math.inf:
+        raise DomainError("modulus T must be positive and finite")
+    t_crit = modulus_of_slope(m, rho1, rho2, 0.0, tol)
+    if t_crit < T * (1.0 - CRITICAL_RTOL):
+        crit = shoot(m, rho1, 0.0, T, n_steps=n_steps, richardson=False)
+        return NoSolution(rho1=rho1, rho2=rho2, modulus=T,
+                          critical_outer=math.inf if crit.exited else crit.rho2)
+    slope = 0.0
+    if t_crit > T * (1.0 + CRITICAL_RTOL):
+        from scipy.optimize import brentq
 
-    def endpoint(slope):
-        prof = shoot(m, rho1, slope, T, n_steps=n_steps, richardson=False)
-        if prof.exited:
-            return math.inf, prof
-        return prof.rho2 - rho2, prof
-
-    f0, prof0 = endpoint(0.0)
-    if f0 > tol:
-        return NoSolution(rho1=rho1, rho2=rho2, modulus=T, critical_outer=prof0.rho2)
-    if abs(f0) <= tol:
-        best = shoot(m, rho1, 0.0, T, n_steps=n_steps)
-        best.boundary_error = abs(f0)
-        return best
-
-    lo, f_lo = 0.0, f0
-    hi = 10.0 * (rho2 - rho1) / T
-    f_hi, _ = endpoint(hi)
-    if f_hi < 0:
-        raise BracketingError(
-            f"slope bracket [0, {hi:.6g}] does not straddle the target outer radius"
-        )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f_mid, prof = endpoint(mid)
-        if abs(f_mid) <= tol and math.isfinite(f_mid):
-            best = shoot(m, rho1, mid, T, n_steps=n_steps)
-            best.boundary_error = abs(f_mid)
-            return best
-        if f_mid < 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-17 * max(1.0, hi):
-            break
-    raise BracketingError("bisection failed to reach the boundary tolerance")
+        slope = brentq(lambda v: modulus_of_slope(m, rho1, rho2, v, tol) - T,
+                       0.0, (rho2 - rho1) / T, xtol=_EPS, rtol=4 * _EPS)
+    prof = shoot(m, rho1, slope, T, n_steps=n_steps)
+    prof.boundary_error = abs(prof.rho2 - rho2)
+    return prof
 
 
 def critical_modulus(m: RotMetric, rho1: float, rho2: float,
-                     tol: float = 1e-10, n_steps: int = DEFAULT_STEPS) -> float:
+                     tol: float = QUAD_TOL, n_steps: int = DEFAULT_STEPS) -> float:
     """Largest modulus admitting a monotone radial map from rho1 to rho2.
 
-    This is the T at which the zero-slope trajectory ends exactly at rho2;
-    monotone solutions exist precisely for moduli up to this value.
+    This is T(0) (:func:`modulus_of_slope`, ``tol`` its quadrature error), the
+    modulus at which the zero-slope trajectory ends exactly at rho2.
+    ``n_steps`` is accepted for compatibility and has no effect.
     """
-    if not rho1 < rho2:
-        raise DomainError("need rho1 < rho2")
-
-    def overshoot(T):
-        prof = shoot(m, rho1, 0.0, T, n_steps=n_steps, richardson=False)
-        return math.inf if prof.exited else prof.rho2 - rho2
-
-    lo = 1e-9
-    hi = max(1.0, math.sqrt(2 * (rho2 - rho1)))
-    for _ in range(80):
-        if overshoot(hi) > 0:
-            break
-        hi *= 1.7
-    else:
-        raise BracketingError("could not bracket the critical modulus")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if overshoot(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= tol:
-            break
-    return 0.5 * (lo + hi)
+    return modulus_of_slope(m, rho1, rho2, 0.0, tol)
 
 
 def nitsche_euclidean(r: float) -> float:

@@ -18,11 +18,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad, simpson
-from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError, RangeExitError, UnsupportedDataError
-from .metrics import CurvatureBound, RotMetric
+from .metrics import CurvatureBound, RotMetric, distance_table
 
 DISK_EDGE = 1.0 - 1e-6  # distances are computed up to this chart radius
 
@@ -118,6 +116,8 @@ def we_distance_radial(w: WeierstrassData, s: float) -> float:
         raise DomainError(f"need 0 <= s <= {DISK_EDGE}")
     if s == 0:
         return 0.0
+    from scipy.integrate import quad
+
     val, _ = quad(lambda t: float(we_density(w, t)), 0.0, s, limit=200)
     return float(val)
 
@@ -125,8 +125,8 @@ def we_distance_radial(w: WeierstrassData, s: float) -> float:
 def surface_metric(w: WeierstrassData, n_knots: int = 4096) -> RotMetric:
     """RotMetric of a rotationally symmetric catalog surface.
 
-    Distance by cumulative Simpson on a dense radial table; inverse by a
-    monotone interpolant polished with Newton steps on the analytic density.
+    Distance and inverse from :func:`metrics.distance_table`, the inverse
+    polished with Newton steps on the analytic density.
     The curvature of a non-planar surface is negative, so the natural
     curvature bound is zero.
     """
@@ -137,14 +137,7 @@ def surface_metric(w: WeierstrassData, n_knots: int = 4096) -> RotMetric:
         s = np.asarray(s, dtype=float)
         return np.abs(w.g_prime(s.astype(complex))) + np.abs(w.h_prime(s.astype(complex)))
 
-    fine = np.linspace(0.0, DISK_EDGE, 2 * n_knots + 1)
-    hv = h(fine)
-    step = fine[1] - fine[0]
-    seg = step / 3.0 * (hv[0:-2:2] + 4.0 * hv[1:-1:2] + hv[2::2])
-    d_knots = np.concatenate([[0.0], np.cumsum(seg)])
-    s_knots = fine[::2]
-    dist_interp = PchipInterpolator(s_knots, d_knots)
-    inv_interp = PchipInterpolator(d_knots, s_knots)
+    dist_interp, inv_interp = distance_table(h, DISK_EDGE, n_knots)
 
     def inverse(rho):
         rho_arr = np.asarray(rho, dtype=float)
@@ -164,7 +157,7 @@ def surface_metric(w: WeierstrassData, n_knots: int = 4096) -> RotMetric:
         distance=dist_interp,
         inverse_distance=inverse,
         domain_radius=DISK_EDGE,
-        rho_max=float(d_knots[-1]),
+        rho_max=float(inv_interp.x[-1]),
         density_prime=h_prime,
         bound=None if w.name == "planar" else CurvatureBound.zero(),
         label=f"weierstrass:{w.name}",
@@ -199,6 +192,8 @@ class GeodesicPath:
 
     def length_recomputed(self) -> float:
         """Independent re-integration of the metric length along the path."""
+        from scipy.integrate import simpson
+
         speed = (np.abs(self.surface.g_prime(self.z)) + np.abs(self.surface.h_prime(self.z))) * np.abs(
             self.velocity
         )

@@ -94,6 +94,16 @@ def test_verify_end_to_end_flat_critical():
     )
 
 
+def test_verify_green_chain_summary():
+    rep = verify_end_to_end(HYP, 1.0, 1.7, 0.5, 1.0, n_r=64, n_theta=64)
+    blk = rep.subchecks["green_chain"]
+    assert blk["stations"] == 8
+    assert blk["identity_ok"] and blk["chain_ok"]
+    assert 0 <= blk["identity_gap_max"] <= 1e-6
+    assert blk["chain_margin_min"] >= -2 * math.pi * rep.provenance["eps_grid"]
+    json.dumps(rep.to_dict())
+
+
 def test_verify_orientation_swap_equivalent():
     a = verify_end_to_end(HYP, 1.0, 1.7, 0.5, 1.0, n_r=64, n_theta=64)
     b = verify_end_to_end(HYP, 1.0, 1.7, 1.0, 0.5, n_r=64, n_theta=64)
