@@ -7,8 +7,9 @@ doubly connected region it is computed through the capacity
 characterisation: solve the Laplace problem with values 0 and 1 on the two
 boundary loops and return 2 pi divided by the Dirichlet energy.  The Laplace
 solve uses the 5-point stencil on the log-polar chart (where the energy is
-conformally invariant) and conjugate gradients; the energy uses midpoint
-quadrature on cells.
+conformally invariant) and conjugate gradients from the linear profile in t
+between the loops, exact when every grid row has one role (rotationally
+symmetric masks); the energy uses midpoint quadrature on cells.
 """
 
 from __future__ import annotations
@@ -64,9 +65,11 @@ class MaskedPolarDomain:
         outer = self.roles == OUTER
         if not inner.any() or not outer.any():
             raise MaskError("need two nonempty boundary loops")
-        # loops must not touch: no inner node radially adjacent to an outer node
+        # loops must not touch: no inner node next to an outer node along t,
+        # nor along phi (across the periodic seam too)
         touch = inner[:-1] & outer[1:] | outer[:-1] & inner[1:]
-        if touch.any():
+        side = inner & np.roll(outer, 1, axis=1) | outer & np.roll(inner, 1, axis=1)
+        if touch.any() or side.any():
             raise MaskError("boundary loops touch; the domain is degenerate")
 
     @property
@@ -134,66 +137,69 @@ def masked_geodesic_annulus(m: RotMetric, rho1: float, rho2: float,
 
 
 def _laplace_solve(d: MaskedPolarDomain) -> np.ndarray:
-    """5-point Laplace solve on the mask; returns the full potential field (NaN outside)."""
+    """5-point Laplace solve on the mask; returns the full potential field (NaN outside).
+
+    CG starts from clip((t - t_a)/(t_b - t_a), 0, 1), t_a the highest inner and
+    t_b the lowest outer node: exact, so accepted as is, when rows have one role.
+    """
     nT, nP = d.roles.shape
-    ht2, hp2 = d.h_t**2, d.h_phi**2
+    w_t, w_p = 1 / d.h_t**2, 1 / d.h_phi**2
     unknown = d.roles == INTERIOR
-    index = -np.ones((nT, nP), dtype=np.int64)
-    index[unknown] = np.arange(unknown.sum())
     N = int(unknown.sum())
     if N == 0:
         raise MaskError("mask has no interior nodes")
+    # one OUTSIDE row beyond each end, so a row shift stays in the array
+    roles = np.pad(d.roles, ((1, 1), (0, 0)), constant_values=OUTSIDE)
+    index = np.full(roles.shape, -1, dtype=np.int64)
+    index[1:-1][unknown] = np.arange(N)
 
-    ii, jj = np.nonzero(unknown)
-    rows, cols, vals = [], [], []
-    b = np.zeros(N)
-    center = index[ii, jj]
-    rows.append(center)
-    cols.append(center)
-    vals.append(np.full(N, 2 / ht2 + 2 / hp2))
-    values = np.where(d.roles == OUTER, 1.0, 0.0)
-    for di, dj, w in ((1, 0, 1 / ht2), (-1, 0, 1 / ht2), (0, 1, 1 / hp2), (0, -1, 1 / hp2)):
-        ni = ii + di
-        nj = (jj + dj) % nP
-        ok = (ni >= 0) & (ni < nT)
-        roles_n = np.full(len(ii), OUTSIDE, dtype=np.int8)
-        roles_n[ok] = d.roles[ni[ok], nj[ok]]
-        if np.any(roles_n == OUTSIDE):
+    def neighbour(a, di, dj):
+        return np.roll(a[1 + di : 1 + di + nT], -dj, axis=1)[unknown]
+
+    steps = ((1, 0, w_t), (-1, 0, w_t), (0, 1, w_p), (0, -1, w_p))
+    cols, b = [np.arange(N)], np.zeros(N)
+    for di, dj, w in steps:
+        role = neighbour(roles, di, dj)
+        if np.any(role == OUTSIDE):
             raise MaskError("an interior node touches the outside; mask is not closed")
-        is_unknown = roles_n == INTERIOR
-        rows.append(center[is_unknown])
-        cols.append(index[ni[is_unknown], nj[is_unknown]])
-        vals.append(np.full(int(is_unknown.sum()), -w))
-        is_bdry = ~is_unknown
-        np.add.at(b, center[is_bdry], w * values[ni[is_bdry], nj[is_bdry]])
+        cols.append(neighbour(index, di, dj))
+        b += w * (role == OUTER)
+    # row k of A is the center and its unknown neighbours, in that order
+    cols = np.stack(cols, axis=1)
+    keep = cols >= 0
+    weights = np.broadcast_to([2 * w_t + 2 * w_p] + [-w for _, _, w in steps], cols.shape)
+    A = sp.csr_matrix((weights[keep], cols[keep], np.r_[0, np.cumsum(keep.sum(axis=1))]),
+                      shape=(N, N))
 
-    A = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(N, N),
-    ).tocsr()
-    x0 = np.zeros(N)
+    t = np.broadcast_to(d.t[:, None], (nT, nP))
+    t_a, t_b = t[d.roles == INNER].max(), t[d.roles == OUTER].min()
+    x0 = np.clip((t[unknown] - t_a) / (t_b - t_a), 0.0, 1.0) if t_b > t_a else np.zeros(N)
     try:
         x, info = spla.cg(A, b, x0=x0, rtol=1e-10, atol=0.0, maxiter=40 * max(nT, nP))
     except TypeError:  # older scipy spelling
         x, info = spla.cg(A, b, x0=x0, tol=1e-10, atol=0.0, maxiter=40 * max(nT, nP))
     if info != 0:
         raise DomainError(f"capacity CG did not converge (info={info})")
-    u = np.full((nT, nP), np.nan)
+    u = np.select([d.roles == INNER, d.roles == OUTER], [0.0, 1.0], np.nan)
     u[unknown] = x
-    u[d.roles == INNER] = 0.0
-    u[d.roles == OUTER] = 1.0
     return u
+
+
+def _cell_density(u: np.ndarray, h_t: float, h_phi: float, seam_jump: float = 0.0):
+    """|grad u|^2 from midpoint d/dt, d/dphi on every cell; ``seam_jump`` is added
+    to the wrapped corners of the last column (2 pi for an angle lift)."""
+    right = np.roll(u, -1, axis=1)
+    right[:, -1] += seam_jump
+    c00, c10, c01, c11 = u[:-1], u[1:], right[:-1], right[1:]
+    du_dt = 0.5 * ((c10 - c00) + (c11 - c01)) / h_t
+    du_dp = 0.5 * ((c01 - c00) + (c11 - c10)) / h_phi
+    return du_dt**2 + du_dp**2
 
 
 def _cell_energy(u: np.ndarray, h_t: float, h_phi: float) -> float:
     """Midpoint-quadrature Dirichlet energy over cells with four finite corners."""
-    c00, c10 = u[:-1], u[1:]
-    c01, c11 = np.roll(u, -1, axis=1)[:-1], np.roll(u, -1, axis=1)[1:]
-    du_dt = 0.5 * ((c10 - c00) + (c11 - c01)) / h_t
-    du_dp = 0.5 * ((c01 - c00) + (c11 - c10)) / h_phi
-    dens = du_dt**2 + du_dp**2
-    ok = np.isfinite(dens)
-    return float(dens[ok].sum() * h_t * h_phi)
+    dens = _cell_density(u, h_t, h_phi)
+    return float(dens[np.isfinite(dens)].sum() * h_t * h_phi)
 
 
 def modulus_capacity(d: DoublyConnectedDomain, n: int = 256) -> float:
@@ -215,14 +221,4 @@ def angular_energy(f) -> float:
     below by 2 pi log(r2/r1) (Cauchy-Schwarz applied per cell row).
     """
     g = f.grid
-    th = f.theta
-    c00, c10 = th[:-1], th[1:]
-    c01 = np.roll(th, -1, axis=1)[:-1] + np.where(
-        np.arange(g.n_theta) == g.n_theta - 1, 2 * np.pi, 0.0
-    )
-    c11 = np.roll(th, -1, axis=1)[1:] + np.where(
-        np.arange(g.n_theta) == g.n_theta - 1, 2 * np.pi, 0.0
-    )
-    dt = 0.5 * ((c10 - c00) + (c11 - c01)) / g.h_t
-    dp = 0.5 * ((c01 - c00) + (c11 - c10)) / g.h_phi
-    return float(((dt**2 + dp**2) * g.h_t * g.h_phi).sum())
+    return float((_cell_density(f.theta, g.h_t, g.h_phi, 2 * np.pi) * g.h_t * g.h_phi).sum())

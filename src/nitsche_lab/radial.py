@@ -246,18 +246,17 @@ def modulus_of_slope(m: RotMetric, rho1: float, rho2: float, v0: float,
 
 @dataclass(frozen=True)
 class NoSolution:
-    """Nonexistence result of the radial boundary-value problem.
+    """Nonexistence of a monotone radial map: the critical modulus T(0) < Mod.
 
-    The zero-slope trajectory already overshoots the requested outer radius:
-    no monotone radial harmonic map with this data exists.  ``critical_outer``
-    is where it ends at the requested modulus (``inf`` past the metric range).
+    ``critical_outer`` is where the zero-slope trajectory ends at Mod, ``inf``
+    if it left the metric range or met G' <= 0 (where it may turn back) first.
     """
 
     rho1: float
     rho2: float
     modulus: float
     critical_outer: float
-    reason: str = "zero-slope trajectory overshoots the requested outer radius"
+    reason: str
 
 
 def solve_bvp(m: RotMetric, rho1: float, rho2: float, T: float,
@@ -275,8 +274,11 @@ def solve_bvp(m: RotMetric, rho1: float, rho2: float, T: float,
     t_crit = modulus_of_slope(m, rho1, rho2, 0.0, tol)
     if t_crit < T * (1.0 - CRITICAL_RTOL):
         crit = shoot(m, rho1, 0.0, T, n_steps=n_steps, richardson=False)
+        # RK4 checks the range before each step, not after the last one
+        turned = crit.exited or not 0 <= crit.rho2 < m.rho_max or np.any(m.G_prime(crit.rho) <= 0)
         return NoSolution(rho1=rho1, rho2=rho2, modulus=T,
-                          critical_outer=math.inf if crit.exited else crit.rho2)
+                          critical_outer=math.inf if turned else crit.rho2,
+                          reason=f"critical modulus T(0) = {t_crit:.10g} < Mod = {T:.10g}")
     slope = 0.0
     if t_crit > T * (1.0 + CRITICAL_RTOL):
         from scipy.optimize import brentq

@@ -101,6 +101,27 @@ def test_no_solution_exactly_past_the_critical_modulus():
         assert nl.solve_bvp(m, rho1, rho2, t0, n_steps=64).slope0 == 0.0
 
 
+def test_no_solution_on_the_sphere_names_t0_and_the_turned_trajectory():
+    # the zero-slope shot from 0.5 passes G' = 0 at pi/2 and turns back, so
+    # where it ends at Mod (0.83 at Mod 10, 2.21 past the cap at Mod 3) is no
+    # outer radius; nonexistence itself holds because T(0) = 2.11 < Mod
+    t0 = nl.critical_modulus(SPH, 0.5, 1.5)
+    assert t0 == pytest.approx(2.1135, abs=1e-4)
+    for mod in (10.0, 3.0):
+        out = nl.solve_bvp(SPH, 0.5, 1.5, mod)
+        assert isinstance(out, nl.NoSolution)
+        assert out.critical_outer == math.inf
+        assert f"T(0) = {t0:.10g}" in out.reason and f"Mod = {mod:.10g}" in out.reason
+    # a trajectory that never reaches G' <= 0 keeps its finite end
+    out = nl.solve_bvp(SPH, 0.3, 0.4, 1.0)
+    assert isinstance(out, nl.NoSolution)
+    assert out.critical_outer == pytest.approx(nl.critical_outer(SPH, 0.3, 1.0), abs=1e-12)
+    # a last RK4 step that leaves the metric range is an exit too
+    enneper = nl.surface_metric(nl.catalog_surface("enneper"))
+    assert nl.shoot(enneper, 0.5, 0.0, 1.25, n_steps=8, richardson=False).rho2 > enneper.rho_max
+    assert nl.solve_bvp(enneper, 0.5, 1.0, 1.25, n_steps=8).critical_outer == math.inf
+
+
 def test_enneper_critical_modulus_lands_zero_slope_shot_on_rho2():
     m = nl.surface_metric(nl.catalog_surface("enneper"))
     T = nl.critical_modulus(m, 0.4, 1.1)
