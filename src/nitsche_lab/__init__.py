@@ -23,7 +23,6 @@ from .metrics import (
     h_c,
     infer_bound,
     load_metric,
-    metric_G,
     metric_from_profile,
     psi_big,
     psi_sharp,

@@ -20,8 +20,6 @@ from .errors import DomainError
 from .metrics import RotMetric
 from .radial import RadialProfile
 
-_EDGE = 2  # rows consumed on each t-edge by the 4th-order stencils
-
 
 @dataclass(frozen=True)
 class AnnulusGrid:
@@ -103,11 +101,6 @@ def d_t2(F: np.ndarray, h: float) -> np.ndarray:
     out = np.full_like(F, np.nan, dtype=float if not np.iscomplexobj(F) else complex)
     out[2:-2] = (-F[4:] + 16 * F[3:-1] - 30 * F[2:-2] + 16 * F[1:-3] - F[:-4]) / (12 * h**2)
     return out
-
-
-def interior(F: np.ndarray) -> np.ndarray:
-    """The rows on which 4th-order t-stencils are defined."""
-    return F[_EDGE:-_EDGE]
 
 
 @dataclass

@@ -184,8 +184,8 @@ class RotMetric:
         Chart radius s_max (may be ``inf`` for entire-plane charts).
     rho_max : float
         Supremum of valid geodesic radii, d(s_max^-).
-    density_prime : callable, optional
-        Analytic h'(s); enables exact ODE right-hand sides.
+    density_prime : callable
+        Analytic h'(s), for exact ODE right-hand sides.
     g_analytic, g_prime_analytic : callable, optional
         Closed forms for G(rho) and G'(rho) (model metrics).
     bound : CurvatureBound, optional
@@ -199,7 +199,7 @@ class RotMetric:
         inverse_distance: Callable,
         domain_radius: float,
         rho_max: float,
-        density_prime: Callable | None = None,
+        density_prime: Callable,
         g_analytic: Callable | None = None,
         g_prime_analytic: Callable | None = None,
         bound: CurvatureBound | None = None,
@@ -236,23 +236,17 @@ class RotMetric:
         return self.density(s) * s
 
     def G_prime(self, rho):
-        """dG/d rho, analytic when available, else 4th-order centered FD."""
+        """dG/d rho, from its closed form when given, else g'(h + h' g) with g' = 1/h."""
+        self.check_rho(rho)
         if self._g_prime_analytic is not None:
-            self.check_rho(rho)
             return self._g_prime_analytic(rho)
-        if self.density_prime is not None:
-            # G' = g'(h + h' g) with g' = 1/h
-            self.check_rho(rho)
-            s = self.inverse_distance(rho)
-            h = self.density(s)
-            return (h + self.density_prime(s) * s) / h
-        return self._fd_on_G(rho, power=1)
+        s = self.inverse_distance(rho)
+        h = self.density(s)
+        return (h + self.density_prime(s) * s) / h
 
     def dG2(self, rho):
         """d(G^2)/d rho = 2 g (h + h' g); the radial harmonic-map source term is half this."""
-        if self._g_analytic is not None or self.density_prime is not None:
-            return 2.0 * self.G(rho) * self.G_prime(rho)
-        return self._fd_on_G(rho, power=2)
+        return 2.0 * self.G(rho) * self.G_prime(rho)
 
     def d2G2(self, rho):
         """Second derivative of G^2, used by the Newton linearisation."""
@@ -262,19 +256,6 @@ class RotMetric:
         hi = np.asarray(rho, dtype=float) + h
         hi = np.minimum(hi, self.rho_max * (1 - 1e-12)) if np.isfinite(self.rho_max) else hi
         return (self.dG2(hi) - self.dG2(lo)) / (hi - lo)
-
-    def _fd_on_G(self, rho, power: int):
-        """4th-order centered difference of G**power."""
-        self.check_rho(rho)
-        rho = np.asarray(rho, dtype=float)
-        h = 1e-5
-        vals = [self.G(np.clip(rho + k * h, 1e-300, None)) ** power for k in (-2, -1, 1, 2)]
-        return (vals[0] - 8 * vals[1] + 8 * vals[2] - vals[3]) / (12 * h)
-
-
-def metric_G(m: RotMetric, rho):
-    """G(rho) of a rotationally symmetric metric (domain-checked)."""
-    return m.G(rho)
 
 
 def constant_curvature_metric(bound: CurvatureBound) -> RotMetric:
@@ -450,15 +431,18 @@ def load_metric(source) -> RotMetric:
     if isinstance(source, dict):
         spec = source
     else:
-        text = None
+        text, unread = source, None
         try:
             with open(source, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except (OSError, TypeError):
-            text = source
+        except (OSError, TypeError) as exc:
+            unread = exc
         try:
             spec = json.loads(text)
         except (json.JSONDecodeError, TypeError) as exc:
+            if unread is not None:  # neither a readable file nor JSON text
+                raise DomainError(f"cannot read metric file {source}: "
+                                  f"{getattr(unread, 'strerror', None) or unread}") from unread
             raise DomainError(f"unreadable metric description: {exc}") from exc
     kind = spec.get("kind")
     if kind == "constant":

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
@@ -33,14 +34,23 @@ from .metrics import CurvatureBound, GeodesicAnnulus, RotMetric, psi_sharp
 def _log_density_sq_w(m: RotMetric, w: np.ndarray) -> np.ndarray:
     """d/dw of log h(|w|)^2 = h'(|w|) conj(w) / (h(|w|) |w|)."""
     s = np.abs(w)
-    if m.density_prime is not None:
-        hp = m.density_prime(s)
-    else:
-        eps = 1e-6
-        hp = (m.density(s + eps) - m.density(np.clip(s - eps, 0, None))) / (2 * eps)
     with np.errstate(invalid="ignore", divide="ignore"):
-        out = hp * np.conj(w) / (m.density(s) * s)
+        out = m.density_prime(s) * np.conj(w) / (m.density(s) * s)
     return np.where(s > 0, out, 0.0)
+
+
+def _chart_derivatives(f: AnnulusMap):
+    """The chart field F = g(rho) e^{i theta} and its 4th-order f_zeta, f_zetabar."""
+    g = f.grid
+    F = f.chart_field()
+    f_t, f_p = d_t(F, g.h_t), d_phi(F, g.h_phi)
+    return F, 0.5 * (f_t - 1j * f_p), 0.5 * (f_t + 1j * f_p)
+
+
+def _hopf_log_chart(f: AnnulusMap) -> np.ndarray:
+    """Log-chart Hopf field h^2(|f|) f_zeta conj(f_zetabar)."""
+    F, f_zeta, f_zetabar = _chart_derivatives(f)
+    return f.metric.density(np.abs(F)) ** 2 * f_zeta * np.conj(f_zetabar)
 
 
 def harmonicity_residual(f: AnnulusMap) -> np.ndarray:
@@ -51,14 +61,10 @@ def harmonicity_residual(f: AnnulusMap) -> np.ndarray:
     are NaN (no centered stencil there).
     """
     g = f.grid
-    F = f.chart_field()
-    f_t, f_p = d_t(F, g.h_t), d_phi(F, g.h_phi)
-    f_zeta = 0.5 * (f_t - 1j * f_p)
-    f_zetabar = 0.5 * (f_t + 1j * f_p)
+    F, f_zeta, f_zetabar = _chart_derivatives(f)
     lap = d_t2(F, g.h_t) + d_phi2(F, g.h_phi)
     defect_zeta = 0.25 * lap + _log_density_sq_w(f.metric, F) * f_zeta * f_zetabar
-    T, _ = g.mesh()
-    return np.exp(-2 * T) * defect_zeta
+    return np.exp(-2 * g.mesh()[0]) * defect_zeta
 
 
 def residual_norm(f: AnnulusMap) -> float:
@@ -68,14 +74,8 @@ def residual_norm(f: AnnulusMap) -> float:
 
 def hopf_differential(f: AnnulusMap) -> np.ndarray:
     """Discrete Hopf differential field h^2(|f|) f_z conj(f_zbar) (z chart)."""
-    g = f.grid
-    F = f.chart_field()
-    f_t, f_p = d_t(F, g.h_t), d_phi(F, g.h_phi)
-    f_zeta = 0.5 * (f_t - 1j * f_p)
-    f_zetabar = 0.5 * (f_t + 1j * f_p)
-    T, PHI = g.mesh()
-    z2 = np.exp(2 * (T + 1j * PHI))
-    return f.metric.density(np.abs(F)) ** 2 * f_zeta * np.conj(f_zetabar) / z2
+    T, PHI = f.grid.mesh()
+    return _hopf_log_chart(f) / np.exp(2 * (T + 1j * PHI))
 
 
 def hopf_dbar_norm(f: AnnulusMap) -> float:
@@ -85,13 +85,8 @@ def hopf_dbar_norm(f: AnnulusMap) -> float:
     Hopf differential characterises harmonicity.
     """
     g = f.grid
-    F = f.chart_field()
-    f_t, f_p = d_t(F, g.h_t), d_phi(F, g.h_phi)
-    P = f.metric.density(np.abs(F)) ** 2 * (0.5 * (f_t - 1j * f_p)) * np.conj(
-        0.5 * (f_t + 1j * f_p)
-    )
-    dbar = 0.5 * (d_t(P, g.h_t) + 1j * d_phi(P, g.h_phi))
-    return float(np.nanmax(np.abs(dbar)))
+    P = _hopf_log_chart(f)
+    return float(np.nanmax(np.abs(0.5 * (d_t(P, g.h_t) + 1j * d_phi(P, g.h_phi)))))
 
 
 def laplacian_bound_check(f: AnnulusMap, bound: CurvatureBound | None = None) -> np.ndarray:
@@ -115,6 +110,34 @@ def laplacian_bound_check(f: AnnulusMap, bound: CurvatureBound | None = None) ->
     return lap_rho - psi_sharp(bound, f.rho) * grad_theta_sq
 
 
+def _neighbours(x: np.ndarray):
+    """The (+t, -t, +phi, -phi) neighbours of the interior rows of x, periodic in phi."""
+    return x[2:], x[:-2], np.roll(x, -1, axis=1)[1:-1], np.roll(x, 1, axis=1)[1:-1]
+
+
+def _stencil(g: AnnulusGrid, m: RotMetric, rho: np.ndarray, u: np.ndarray):
+    """2nd-order 5-point state of (rho, u = theta - phi) on the interior rows.
+
+    ``lap`` is the 5-point Laplacian of rho; ``u_t`` and ``theta_p`` the centred
+    D_t u and D_phi theta, ``ang = u_t^2 + theta_p^2``; ``dG2`` is (G^2)'(rho)
+    on all rows; ``a`` holds G^2 at the (+t, -t, +phi, -phi) half nodes,
+    ``du_t`` and ``tau`` the one-sided D_t u and D_phi theta at the (+, -) ones.
+    """
+    ht, hp = g.h_t, g.h_phi
+    r_tp, r_tm, r_pp, r_pm = _neighbours(rho)
+    u_tp, u_tm, u_pp, u_pm = _neighbours(u)
+    a = np.asarray(m.G(rho)) ** 2
+    u_t = (u_tp - u_tm) / (2 * ht)
+    theta_p = 1.0 + (u_pp - u_pm) / (2 * hp)
+    return SimpleNamespace(
+        lap=(r_tp - 2 * rho[1:-1] + r_tm) / ht**2 + (r_pp - 2 * rho[1:-1] + r_pm) / hp**2,
+        u_t=u_t, theta_p=theta_p, ang=u_t**2 + theta_p**2, dG2=np.asarray(m.dG2(rho)),
+        a=tuple(0.5 * (a[1:-1] + a_k) for a_k in _neighbours(a)),
+        du_t=((u_tp - u[1:-1]) / ht, (u[1:-1] - u_tm) / ht),
+        tau=(1.0 + (u_pp - u[1:-1]) / hp, 1.0 + (u[1:-1] - u_pm) / hp),
+    )
+
+
 @dataclass
 class GreenChain:
     """Flux/area pair of the Green identity on {r1 <= |z| <= sigma}."""
@@ -128,6 +151,23 @@ class GreenChain:
         return iter((self.flux, self.area))
 
 
+def green_stations(f: AnnulusMap, sigmas):
+    """Green chains at the half-node circles nearest each sigma, from one table.
+
+    Returns (sigma_k, flux_k, area_k, inner_flux): the snapped radii, the
+    circle fluxes of d rho/dt there, the area integrals of the 5-point lap(rho)
+    from the innermost half node, and the flux through that node.  Fluxes use
+    forward differences, so flux_k - inner_flux = area_k up to roundoff.
+    """
+    g = f.grid
+    t_half = 0.5 * (g.t[:-1] + g.t[1:])
+    k = np.argmin(np.abs(t_half[:, None] - np.log(sigmas)), axis=0)
+    flux = (f.rho[1:] - f.rho[:-1]).sum(axis=1) * g.h_phi / g.h_t
+    lap = _stencil(g, f.metric, f.rho, f.theta - g.mesh()[1]).lap
+    area = np.concatenate([[0.0], np.cumsum(lap.sum(axis=1))]) * g.h_t * g.h_phi
+    return np.exp(t_half[k]), flux[k], area[k], float(flux[0])
+
+
 def green_chain(f: AnnulusMap, sigma: float) -> GreenChain:
     """Circle flux of d rho/d sigma and the area integral of lap(rho).
 
@@ -138,166 +178,99 @@ def green_chain(f: AnnulusMap, sigma: float) -> GreenChain:
     g = f.grid
     if not g.r1 <= sigma <= g.r2:
         raise DomainError("sigma must lie inside the annulus")
-    t = g.t
-    t_half = 0.5 * (t[:-1] + t[1:])
-    k = int(np.argmin(np.abs(t_half - math.log(sigma))))
-    if abs(t_half[k] - math.log(sigma)) > 1e-12:
-        warnings.warn(
-            f"sigma = {sigma:.6g} snapped to the half-node circle "
-            f"|z| = {math.exp(t_half[k]):.6g}",
-            stacklevel=2,
-        )
-    fluxes = (f.rho[1:] - f.rho[:-1]).sum(axis=1) * g.h_phi / g.h_t
-    lap = (f.rho[2:] - 2 * f.rho[1:-1] + f.rho[:-2]) / g.h_t**2 + (
-        np.roll(f.rho, -1, axis=1) - 2 * f.rho + np.roll(f.rho, 1, axis=1)
-    )[1:-1] / g.h_phi**2
-    area = float(lap[:k].sum() * g.h_t * g.h_phi)
-    return GreenChain(
-        flux=float(fluxes[k]),
-        area=area,
-        inner_flux=float(fluxes[0]),
-        sigma=float(math.exp(t_half[k])),
-    )
+    (snapped,), (flux,), (area,), inner = green_stations(f, [sigma])
+    if abs(math.log(snapped) - math.log(sigma)) > 1e-12:
+        warnings.warn(f"sigma = {sigma:.6g} snapped to the half-node circle "
+                      f"|z| = {snapped:.6g}", stacklevel=2)
+    return GreenChain(flux=float(flux), area=float(area), inner_flux=inner, sigma=float(snapped))
+
+
+def _damped_newton(residual, newton_step, x: np.ndarray, tol: float, max_iter: int):
+    """Damped Newton on the state array x (``residual(x)``: None if inadmissible).
+
+    ``newton_step(x, F)`` is the full step, shaped like x.  It is halved (at
+    most 30 times) until an admissible trial lowers max|F|; a trial that
+    rounds back to x ends the search, since every shorter one does too.
+    Returns (x, history of max|F|, converged), stopping once max|F| <= tol,
+    at the first failed search, or after ``max_iter`` steps.
+    """
+    F = residual(x)
+    history = [float(np.max(np.abs(F)))]
+    while history[-1] > tol and len(history) <= max_iter:
+        dx = newton_step(x, F)
+        for k in range(30):
+            trial = x + 0.5**k * dx
+            if np.array_equal(trial, x):
+                return x, history, False
+            F_trial = residual(trial)
+            if F_trial is not None and np.max(np.abs(F_trial)) < history[-1]:
+                break
+        else:
+            return x, history, False
+        x, F = trial, F_trial
+        history.append(float(np.max(np.abs(F))))
+    return x, history, history[-1] <= tol
 
 
 def _radial_discrete_profile(m: RotMetric, rho1: float, rho2: float,
                              t: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Solve the 1-D discrete two-point problem D_tt rho = rhs(rho) by Newton."""
     h = t[1] - t[0]
-    n = len(t)
-    rho = rho1 + (rho2 - rho1) * (t - t[0]) / (t[-1] - t[0])
-    for _ in range(80):
-        rhs = 0.5 * np.asarray(m.dG2(rho[1:-1]))
-        F = (rho[2:] - 2 * rho[1:-1] + rho[:-2]) / h**2 - rhs
-        err = np.max(np.abs(F))
-        if err <= tol:
-            break
+
+    def residual(rho):  # None outside the metric range
+        if np.all(rho < m.rho_max) and np.all(rho > 0):
+            return (rho[2:] - 2 * rho[1:-1] + rho[:-2]) / h**2 - 0.5 * np.asarray(m.dG2(rho[1:-1]))
+
+    def newton_step(rho, F):
         diag = -2 / h**2 - 0.5 * np.asarray(m.d2G2(rho[1:-1]))
-        A = sp.diags(
-            [np.full(n - 3, 1 / h**2), diag, np.full(n - 3, 1 / h**2)],
-            offsets=[-1, 0, 1],
-            format="csc",
-        )
-        step = spla.spsolve(A, -F)
-        lam, base = 1.0, err
-        for _ in range(30):
-            trial = rho.copy()
-            trial[1:-1] += lam * step
-            if np.all(trial < m.rho_max) and np.all(trial > 0):
-                rhs_t = 0.5 * np.asarray(m.dG2(trial[1:-1]))
-                F_t = (trial[2:] - 2 * trial[1:-1] + trial[:-2]) / h**2 - rhs_t
-                if np.max(np.abs(F_t)) < base:
-                    rho = trial
-                    break
-            lam /= 2
-        else:
-            break
-    return rho
+        off = np.full(len(t) - 3, 1 / h**2)
+        step = np.zeros_like(rho)
+        step[1:-1] = spla.spsolve(sp.diags([off, diag, off], offsets=[-1, 0, 1], format="csc"), -F)
+        return step
 
-
-def _half_nodes(g: AnnulusGrid, m: RotMetric, rho: np.ndarray, u: np.ndarray):
-    """(+, -) half-node pairs on interior rows: a = G^2 along t and phi, D_t u, D_phi theta."""
-    a = np.asarray(m.G(rho)) ** 2
-    return ((0.5 * (a[1:-1] + a[2:]), 0.5 * (a[1:-1] + a[:-2])),
-            (0.5 * (a + np.roll(a, -1, axis=1))[1:-1], 0.5 * (a + np.roll(a, 1, axis=1))[1:-1]),
-            ((u[2:] - u[1:-1]) / g.h_t, (u[1:-1] - u[:-2]) / g.h_t),
-            (1.0 + (np.roll(u, -1, axis=1) - u)[1:-1] / g.h_phi,
-             1.0 + (u - np.roll(u, 1, axis=1))[1:-1] / g.h_phi))
+    rho = rho1 + (rho2 - rho1) * (t - t[0]) / (t[-1] - t[0])
+    return _damped_newton(residual, newton_step, rho, tol, 80)[0]
 
 
 def _system_residual(g: AnnulusGrid, m: RotMetric, rho: np.ndarray, u: np.ndarray):
     """Residuals (F1, F2) of the 2nd-order discrete system on interior rows."""
-    ht, hp = g.h_t, g.h_phi
-    lap_rho = (rho[2:] - 2 * rho[1:-1] + rho[:-2]) / ht**2 + (
-        np.roll(rho, -1, axis=1) - 2 * rho + np.roll(rho, 1, axis=1)
-    )[1:-1] / hp**2
-    u_t = (u[2:] - u[:-2]) / (2 * ht)
-    theta_p = 1.0 + (np.roll(u, -1, axis=1) - np.roll(u, 1, axis=1))[1:-1] / (2 * hp)
-    ang = u_t**2 + theta_p**2
-    dG2 = np.asarray(m.dG2(rho[1:-1]))
-    F1 = lap_rho - 0.5 * dG2 * ang
-
-    (a_tp, a_tm), (a_pp, a_pm), (du_tp, du_tm), (tau_p, tau_m) = _half_nodes(g, m, rho, u)
-    F2 = (a_tp * du_tp - a_tm * du_tm) / ht + (a_pp * tau_p - a_pm * tau_m) / hp
+    s = _stencil(g, m, rho, u)
+    (a_tp, a_tm, a_pp, a_pm), (du_tp, du_tm), (tau_p, tau_m) = s.a, s.du_t, s.tau
+    F1 = s.lap - 0.5 * s.dG2[1:-1] * s.ang
+    F2 = (a_tp * du_tp - a_tm * du_tm) / g.h_t + (a_pp * tau_p - a_pm * tau_m) / g.h_phi
     return F1, F2
 
 
 def _assemble_jacobian(g: AnnulusGrid, m: RotMetric, rho: np.ndarray, u: np.ndarray):
-    """Sparse Jacobian of (F1, F2) w.r.t. interior (rho, u) values."""
+    """Sparse Jacobian of (F1, F2) w.r.t. interior (rho, u): four 5-point blocks."""
     ht, hp = g.h_t, g.h_phi
-    nI, nTh = g.n_r - 2, g.n_theta
-    N = nI * nTh
+    s = _stencil(g, m, rho, u)
+    (a_tp, a_tm, a_pp, a_pm), (du_tp, du_tm), (tau_p, tau_m) = s.a, s.du_t, s.tau
+    N = (g.n_r - 2) * g.n_theta
+    # interior unknowns numbered row by row; the -1 boundary rows drop out
+    index = np.pad(np.arange(N).reshape(-1, g.n_theta), ((1, 1), (0, 0)), constant_values=-1)
+    cols = np.stack([index[1:-1], *_neighbours(index)], axis=-1).reshape(N, 5)
+    keep = cols >= 0
+    ij = (np.nonzero(keep)[0], cols[keep])
 
-    II, JJ = np.meshgrid(np.arange(1, g.n_r - 1), np.arange(nTh), indexing="ij")
+    def block(*coeffs):  # (centre, +t, -t, +phi, -phi)
+        vals = np.stack(np.broadcast_arrays(*coeffs), axis=-1).reshape(N, 5)
+        return sp.coo_matrix((vals[keep], ij), shape=(N, N))
 
-    def idx(i, j):
-        return (i - 1) * nTh + (j % nTh)
-
-    k0 = idx(II, JJ)
-    k_tp, k_tm = idx(II + 1, JJ), idx(II - 1, JJ)
-    k_pp, k_pm = idx(II, JJ + 1), idx(II, JJ - 1)
-    in_tp, in_tm = (II + 1 <= g.n_r - 2), (II - 1 >= 1)
-
-    u_t = (u[2:] - u[:-2]) / (2 * ht)
-    theta_p = 1.0 + (np.roll(u, -1, axis=1) - np.roll(u, 1, axis=1))[1:-1] / (2 * hp)
-    ang = u_t**2 + theta_p**2
-    dG2_int = np.asarray(m.dG2(rho[1:-1]))
-    d2G2_int = np.asarray(m.d2G2(rho[1:-1]))
-    dG2_all = np.asarray(m.dG2(rho))
-
-    rows, cols, vals = [], [], []
-
-    def add(r, c, v, mask=None):
-        if mask is None:
-            rows.append(r.ravel())
-            cols.append(c.ravel())
-            vals.append(np.broadcast_to(v, r.shape).ravel())
-        else:
-            rows.append(r[mask])
-            cols.append(c[mask])
-            vals.append(np.broadcast_to(v, r.shape)[mask])
-
-    # F1 rows (block row 0): d/d rho
-    add(k0, k0, -2 / ht**2 - 2 / hp**2 - 0.5 * d2G2_int * ang)
-    add(k0, k_tp, np.full(k0.shape, 1 / ht**2), in_tp)
-    add(k0, k_tm, np.full(k0.shape, 1 / ht**2), in_tm)
-    add(k0, k_pp, np.full(k0.shape, 1 / hp**2))
-    add(k0, k_pm, np.full(k0.shape, 1 / hp**2))
-    # F1 rows: d/d u (offset N in columns)
-    add(k0, k_tp + N, -dG2_int * u_t / (2 * ht), in_tp)
-    add(k0, k_tm + N, dG2_int * u_t / (2 * ht), in_tm)
-    add(k0, k_pp + N, -dG2_int * theta_p / (2 * hp))
-    add(k0, k_pm + N, dG2_int * theta_p / (2 * hp))
-
-    # F2 rows (block row N)
-    (a_tp, a_tm), (a_pp, a_pm), (du_tp, du_tm), (tau_p, tau_m) = _half_nodes(g, m, rho, u)
-
-    # d F2 / d u
-    add(k0 + N, k0 + N, -(a_tp + a_tm) / ht**2 - (a_pp + a_pm) / hp**2)
-    add(k0 + N, k_tp + N, a_tp / ht**2, in_tp)
-    add(k0 + N, k_tm + N, a_tm / ht**2, in_tm)
-    add(k0 + N, k_pp + N, a_pp / hp**2)
-    add(k0 + N, k_pm + N, a_pm / hp**2)
-    # d F2 / d rho through a = G^2(rho); half-node values average the nodes
-    dG2_tp = dG2_all[2:]
-    dG2_tm = dG2_all[:-2]
-    dG2_pp = np.roll(dG2_all, -1, axis=1)[1:-1]
-    dG2_pm = np.roll(dG2_all, 1, axis=1)[1:-1]
-    add(k0 + N, k_tp, 0.5 * dG2_tp * du_tp / ht, in_tp)
-    add(k0 + N, k_tm, -0.5 * dG2_tm * du_tm / ht, in_tm)
-    add(k0 + N, k_pp, 0.5 * dG2_pp * tau_p / hp)
-    add(k0 + N, k_pm, -0.5 * dG2_pm * tau_m / hp)
-    add(
-        k0 + N,
-        k0,
-        0.5 * dG2_int * (du_tp / ht - du_tm / ht + tau_p / hp - tau_m / hp),
-    )
-
-    J = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(2 * N, 2 * N),
-    )
-    return J.tocsc()
+    dG2 = s.dG2[1:-1]
+    dG2_tp, dG2_tm, dG2_pp, dG2_pm = _neighbours(s.dG2)
+    return sp.bmat([
+        [block(-2 / ht**2 - 2 / hp**2 - 0.5 * np.asarray(m.d2G2(rho[1:-1])) * s.ang,
+               1 / ht**2, 1 / ht**2, 1 / hp**2, 1 / hp**2),
+         block(0.0, -dG2 * s.u_t / (2 * ht), dG2 * s.u_t / (2 * ht),
+               -dG2 * s.theta_p / (2 * hp), dG2 * s.theta_p / (2 * hp))],
+        # d F2 / d rho through a = G^2(rho); half-node values average the nodes
+        [block(0.5 * dG2 * (du_tp / ht - du_tm / ht + tau_p / hp - tau_m / hp),
+               0.5 * dG2_tp * du_tp / ht, -0.5 * dG2_tm * du_tm / ht,
+               0.5 * dG2_pp * tau_p / hp, -0.5 * dG2_pm * tau_m / hp),
+         block(-(a_tp + a_tm) / ht**2 - (a_pp + a_pm) / hp**2,
+               a_tp / ht**2, a_tm / ht**2, a_pp / hp**2, a_pm / hp**2)],
+    ], format="csc")
 
 
 def solve_dirichlet(grid: AnnulusGrid, m: RotMetric, rho1: float, rho2: float,
@@ -307,8 +280,9 @@ def solve_dirichlet(grid: AnnulusGrid, m: RotMetric, rho1: float, rho2: float,
 
     Boundary data: rho = rho1 on |z| = r1, rho = rho2 on |z| = r2, and
     theta = arg z on both circles.  Terminates when the max residual of the
-    discrete system falls below ``tol``; raises :class:`DivergenceError` if
-    the iteration stalls.  The returned map carries a :class:`SolveInfo`.
+    discrete system falls below ``tol``; raises :class:`DivergenceError` at
+    the first failed line search or after ``max_iter`` steps.  The returned
+    map carries a :class:`SolveInfo`.
 
     ``warm_start=True`` seeds Newton with the 1-D discrete radial solution
     (the exact answer for symmetric data); ``False`` starts from the linear
@@ -324,44 +298,22 @@ def solve_dirichlet(grid: AnnulusGrid, m: RotMetric, rho1: float, rho2: float,
         rho_line = _radial_discrete_profile(m, rho1, rho2, grid.t)
     else:
         rho_line = rho1 + (rho2 - rho1) * (grid.t - grid.t[0]) / grid.modulus
-    rho = np.repeat(rho_line[:, None], grid.n_theta, axis=1)
-    u = np.zeros_like(rho)
+    x = np.zeros((2, grid.n_r, grid.n_theta))  # rho and u = theta - phi
+    x[0] = rho_line[:, None]
 
-    history = []
-    stalls = 0
-    for it in range(max_iter):
-        F1, F2 = _system_residual(grid, m, rho, u)
-        err = max(np.max(np.abs(F1)), np.max(np.abs(F2)))
-        history.append(float(err))
-        if err <= tol:
-            info = SolveInfo(True, it, history, "converged")
-            theta = grid.mesh()[1] + u
-            return AnnulusMap(grid=grid, rho=rho, theta=theta, metric=m, info=info)
-        J = _assemble_jacobian(grid, m, rho, u)
-        F = np.concatenate([F1.ravel(), F2.ravel()])
-        step = spla.spsolve(J, -F)
-        nI = grid.n_r - 2
-        d_rho = step[: nI * grid.n_theta].reshape(nI, grid.n_theta)
-        d_u = step[nI * grid.n_theta :].reshape(nI, grid.n_theta)
-        lam = 1.0
-        for _ in range(30):
-            rho_try = rho.copy()
-            u_try = u.copy()
-            rho_try[1:-1] += lam * d_rho
-            u_try[1:-1] += lam * d_u
-            if np.all(rho_try > 0) and np.all(rho_try < m.rho_max):
-                F1t, F2t = _system_residual(grid, m, rho_try, u_try)
-                if max(np.max(np.abs(F1t)), np.max(np.abs(F2t))) < err:
-                    rho, u = rho_try, u_try
-                    break
-            lam /= 2
-        else:
-            stalls += 1
-            if stalls >= 3:
-                raise DivergenceError(
-                    f"Newton stalled at residual {err:.3e} after {it + 1} iterations"
-                )
-    raise DivergenceError(
-        f"no convergence to {tol:.1e} within {max_iter} iterations "
-        f"(last residual {history[-1]:.3e})"
-    )
+    def residual(x):  # None outside the metric range
+        if np.all(x[0] > 0) and np.all(x[0] < m.rho_max):
+            return np.stack(_system_residual(grid, m, *x))
+
+    def newton_step(x, F):
+        step = np.zeros_like(x)
+        step[:, 1:-1] = spla.spsolve(_assemble_jacobian(grid, m, *x),
+                                     -F.ravel()).reshape(2, grid.n_r - 2, -1)
+        return step
+
+    x, history, converged = _damped_newton(residual, newton_step, x, tol, max_iter)
+    if not converged:
+        raise DivergenceError(f"Newton stopped at residual {history[-1]:.3e} > {tol:.1e} "
+                              f"after {len(history) - 1} iterations")
+    info = SolveInfo(True, len(history) - 1, history, "converged")
+    return AnnulusMap(grid=grid, rho=x[0], theta=grid.mesh()[1] + x[1], metric=m, info=info)

@@ -55,15 +55,13 @@ def _scalar_rhs(m: RotMetric):
     if m._g_analytic is not None and m._g_prime_analytic is not None:
         g, gp = m._g_analytic, m._g_prime_analytic
         return lambda r: float(g(r)) * float(gp(r))
-    if m.density_prime is not None:
-        inv, h, hp = m.inverse_distance, m.density, m.density_prime
+    inv, h, hp = m.inverse_distance, m.density, m.density_prime
 
-        def rhs(r):
-            s = float(inv(r))
-            return s * (float(h(s)) + float(hp(s)) * s)
+    def rhs(r):
+        s = float(inv(r))
+        return s * (float(h(s)) + float(hp(s)) * s)
 
-        return rhs
-    return lambda r: 0.5 * float(m.dG2(r))
+    return rhs
 
 
 @dataclass
@@ -117,28 +115,39 @@ class RadialProfile:
 _RHO_CEILING = 300.0  # keeps sinh/cosh of runaway trajectories finite
 
 
-def _rk4(rhs, rho1: float, slope0: float, T: float, n: int, rho_max: float):
-    h = T / n
-    safe_hi = rho_max * (1 - 1e-12) if math.isfinite(rho_max) else _RHO_CEILING
-    y, v = float(rho1), float(slope0)
-    ys = [y]
-    vs = [v]
-    exited_at = None
-    for i in range(n):
-        if not (0.0 <= y < safe_hi):
-            exited_at = i * h
+def rk4(acc, y, v, h: float, n: int, inside):
+    """Classical RK4 for y'' = acc(y, y') from (y, v): ``n`` steps of size h.
+
+    ``inside(y)`` is checked on the initial state and after every step, the
+    last one included; the run stops at the first state outside, which it
+    keeps.  Returns the states, the velocities, and whether one left.
+    """
+    ys, vs = [y], [v]
+    for _ in range(n):
+        if not inside(y):
             break
-        f = lambda r: rhs(min(max(r, 0.0), safe_hi))
-        k1y, k1v = v, f(y)
-        k2y, k2v = v + 0.5 * h * k1v, f(y + 0.5 * h * k1y)
-        k3y, k3v = v + 0.5 * h * k2v, f(y + 0.5 * h * k2y)
-        k4y, k4v = v + h * k3v, f(y + h * k3y)
-        y += h / 6.0 * (k1y + 2 * k2y + 2 * k3y + k4y)
+        k1v = acc(y, v)
+        k2y = v + 0.5 * h * k1v
+        k2v = acc(y + 0.5 * h * v, k2y)
+        k3y = v + 0.5 * h * k2v
+        k3v = acc(y + 0.5 * h * k2y, k3y)
+        k4y = v + h * k3v
+        k4v = acc(y + h * k3y, k4y)
+        y += h / 6.0 * (v + 2 * k2y + 2 * k3y + k4y)
         v += h / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
         ys.append(y)
         vs.append(v)
+    return np.array(ys), np.array(vs), not inside(y)
+
+
+def _radial_rk4(rhs, rho1: float, slope0: float, T: float, n: int, rho_max: float):
+    """RK4 samples (t, rho, slope, exit time or None) of rho'' = rhs(rho) on [0, T]."""
+    h = T / n
+    safe_hi = rho_max * (1 - 1e-12) if math.isfinite(rho_max) else _RHO_CEILING
+    ys, vs, exited = rk4(lambda y, _: rhs(min(max(y, 0.0), safe_hi)), float(rho1), float(slope0),
+                         h, n, lambda y: 0.0 <= y < safe_hi)
     m = len(ys) - 1
-    return np.linspace(0.0, m * h, m + 1), np.array(ys), np.array(vs), exited_at
+    return np.linspace(0.0, m * h, m + 1), ys, vs, m * h if exited else None
 
 
 def shoot(m: RotMetric, rho1: float, slope0: float, T: float,
@@ -155,10 +164,11 @@ def shoot(m: RotMetric, rho1: float, slope0: float, T: float,
         raise DomainError("modulus T must be positive")
     m.check_rho(rho1)
     rhs = _scalar_rhs(m)
-    t, rho, slope, exited_at = _rk4(rhs, rho1, slope0, T, n_steps, m.rho_max)
+    t, rho, slope, exited_at = _radial_rk4(rhs, rho1, slope0, T, n_steps, m.rho_max)
     residual = math.nan
     if richardson and len(rho) > 1:
-        _, rho_half, _, _ = _rk4(rhs, rho1, slope0, float(t[-1]), 2 * (len(rho) - 1), m.rho_max)
+        _, rho_half, _, _ = _radial_rk4(rhs, rho1, slope0, float(t[-1]), 2 * (len(rho) - 1),
+                                        m.rho_max)
         k = min(len(rho), (len(rho_half) + 1) // 2)
         residual = float(np.max(np.abs(rho[:k] - rho_half[: 2 * k : 2])))
     return RadialProfile(
@@ -274,8 +284,7 @@ def solve_bvp(m: RotMetric, rho1: float, rho2: float, T: float,
     t_crit = modulus_of_slope(m, rho1, rho2, 0.0, tol)
     if t_crit < T * (1.0 - CRITICAL_RTOL):
         crit = shoot(m, rho1, 0.0, T, n_steps=n_steps, richardson=False)
-        # RK4 checks the range before each step, not after the last one
-        turned = crit.exited or not 0 <= crit.rho2 < m.rho_max or np.any(m.G_prime(crit.rho) <= 0)
+        turned = crit.exited or np.any(m.G_prime(crit.rho) <= 0)
         return NoSolution(rho1=rho1, rho2=rho2, modulus=T,
                           critical_outer=math.inf if turned else crit.rho2,
                           reason=f"critical modulus T(0) = {t_crit:.10g} < Mod = {T:.10g}")

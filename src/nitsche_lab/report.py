@@ -25,7 +25,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +42,7 @@ from .metrics import (
     psi_sharp,
 )
 from .modulus import angular_energy
-from .pde import green_chain, laplacian_bound_check, residual_norm, solve_dirichlet
+from .pde import green_stations, laplacian_bound_check, residual_norm, solve_dirichlet
 from .radial import critical_modulus
 
 REPORT_TOL = 1e-6
@@ -181,14 +180,11 @@ def verify_end_to_end(metric: RotMetric, r1: float, r2: float,
     energy = angular_energy(f)
     energy_floor = 2 * math.pi * grid.modulus
 
+    # eight half-node circles, the ones green_chain snaps these radii to
     radii = np.exp(np.linspace(math.log(r1), math.log(r2), 10)[1:-1])
-    with warnings.catch_warnings():  # green_chain snaps each sigma to a half-node
-        warnings.simplefilter("ignore")
-        chain = [green_chain(f, sigma) for sigma in radii]
-    gaps, areas, chain_margins = np.array([
-        (gc.flux - gc.inner_flux - gc.area, gc.area,
-         gc.flux - 2 * math.pi * report.psi_sharp_min * math.log(gc.sigma / r1))
-        for gc in chain]).T
+    sigmas, fluxes, areas, inner_flux = green_stations(f, radii)
+    gaps = fluxes - inner_flux - areas
+    chain_margins = fluxes - 2 * math.pi * report.psi_sharp_min * np.log(sigmas / r1)
     identity_ok = bool(np.all(np.abs(gaps) <= 1e-6 * np.maximum(1.0, np.abs(areas))))
     chain_ok = bool(np.all(chain_margins >= -2 * math.pi * eps))
 
@@ -204,7 +200,7 @@ def verify_end_to_end(metric: RotMetric, r1: float, r2: float,
             "ok": energy >= energy_floor - 1e-10 * max(1.0, energy_floor),
         },
         "green_chain": {
-            "stations": len(chain),
+            "stations": len(sigmas),
             "identity_gap_max": float(np.max(np.abs(gaps))),
             "chain_margin_min": float(np.min(chain_margins)),
             "identity_ok": identity_ok,

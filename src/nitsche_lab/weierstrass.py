@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import DomainError, RangeExitError, UnsupportedDataError
 from .metrics import CurvatureBound, RotMetric, distance_table
+from .radial import rk4
 
 DISK_EDGE = 1.0 - 1e-6  # distances are computed up to this chart radius
 
@@ -217,33 +218,18 @@ def geodesic_shoot(w: WeierstrassData, z0: complex, direction: complex,
     if d == 0:
         raise DomainError("direction must be nonzero")
     d /= abs(d)
-    z = complex(z0)
-    v = d / float(we_density(w, z0))
     h = length / n_steps
 
-    def acc(z_, v_):
-        return -2.0 * complex(_dlog_density(w, np.asarray(z_))) * v_ * v_
+    def acc(z, v):
+        return -2.0 * complex(_dlog_density(w, np.asarray(z))) * v * v
 
-    zs, vs = [z], [v]
-    for i in range(n_steps):
-        if abs(z) >= DISK_EDGE:
-            raise RangeExitError(
-                f"geodesic left the disk at arc length {i * h:.6g}", exit_time=i * h
-            )
-        k1z, k1v = v, acc(z, v)
-        k2z, k2v = v + 0.5 * h * k1v, acc(z + 0.5 * h * k1z, v + 0.5 * h * k1v)
-        k3z, k3v = v + 0.5 * h * k2v, acc(z + 0.5 * h * k2z, v + 0.5 * h * k2v)
-        k4z, k4v = v + h * k3v, acc(z + h * k3z, v + h * k3v)
-        z = z + h / 6 * (k1z + 2 * k2z + 2 * k3z + k4z)
-        v = v + h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
-        zs.append(z)
-        vs.append(v)
-    return GeodesicPath(
-        t=np.linspace(0.0, length, n_steps + 1),
-        z=np.array(zs),
-        velocity=np.array(vs),
-        surface=w,
-    )
+    zs, vs, exited = rk4(acc, complex(z0), d / float(we_density(w, z0)), h, n_steps,
+                         lambda z: abs(z) < DISK_EDGE)
+    if exited:
+        t_exit = (len(zs) - 1) * h
+        raise RangeExitError(f"geodesic left the disk at arc length {t_exit:.6g}",
+                             exit_time=t_exit)
+    return GeodesicPath(t=np.linspace(0.0, length, n_steps + 1), z=zs, velocity=vs, surface=w)
 
 
 def corollary_check(w: WeierstrassData, rho1: float, rho2: float, n: int = 256):

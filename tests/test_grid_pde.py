@@ -22,7 +22,7 @@ from nitsche_lab import (
     solve_dirichlet,
     surface_metric,
 )
-from nitsche_lab.pde import _system_residual
+from nitsche_lab.pde import _assemble_jacobian, _radial_discrete_profile, _system_residual
 
 FLAT = constant_curvature_metric(CurvatureBound.zero())
 HYP = constant_curvature_metric(CurvatureBound.negative(1.0))
@@ -102,6 +102,69 @@ def test_cold_start_newton_matches_warm_start():
     assert cold.info.iterations >= 2  # the 2-D Newton path really ran
     assert np.max(np.abs(cold.rho - warm.rho)) < 1e-9
     assert np.max(np.abs(cold.theta - warm.theta)) < 1e-9
+
+
+def test_jacobian_matches_central_differences_off_symmetry():
+    # rho and u vary in phi, so D_t u and theta_t are nonzero and the
+    # (F1, u) and (F2, rho) couplings that vanish on radial states are live
+    n, delta = 32, 1e-6
+    grid = AnnulusGrid(1.0, math.exp(0.6), n, n)
+    T, PHI = grid.mesh()
+    s = (T - T[0, 0]) / grid.modulus
+    x = np.stack([0.5 + 0.5 * s + 0.02 * np.sin(3 * PHI) * np.sin(np.pi * s),
+                  0.05 * np.cos(2 * PHI + T) * np.sin(np.pi * s)])
+    J = _assemble_jacobian(grid, HYP, *x).toarray()
+    fd = np.empty_like(J)
+    for col, (i, r, c) in enumerate(np.ndindex(2, n - 2, n)):
+        xp, xm = x.copy(), x.copy()
+        xp[i, r + 1, c] += delta
+        xm[i, r + 1, c] -= delta
+        fd[:, col] = (np.stack(_system_residual(grid, HYP, *xp))
+                      - np.stack(_system_residual(grid, HYP, *xm))).ravel() / (2 * delta)
+    assert np.max(np.abs(J - fd)) <= 1e-8 * np.max(np.abs(J))
+    radial = np.stack([np.repeat(x[0].mean(axis=1, keepdims=True), n, axis=1), 0 * x[1]])
+    assert np.count_nonzero(J) > np.count_nonzero(_assemble_jacobian(grid, HYP, *radial).toarray())
+
+
+def _halving_profile(m, rho1, rho2, t):
+    """The 1-D warm start as a plain loop: 30 halvings per search, stop at a failed one."""
+    h, n = t[1] - t[0], len(t)
+    rho = rho1 + (rho2 - rho1) * (t - t[0]) / (t[-1] - t[0])
+
+    def residual(r):
+        return (r[2:] - 2 * r[1:-1] + r[:-2]) / h**2 - 0.5 * np.asarray(m.dG2(r[1:-1]))
+
+    for _ in range(80):
+        F = residual(rho)
+        if np.max(np.abs(F)) <= 1e-12:
+            break
+        A = np.diag(np.full(n - 3, 1 / h**2), 1) + np.diag(np.full(n - 3, 1 / h**2), -1)
+        A += np.diag(-2 / h**2 - 0.5 * np.asarray(m.d2G2(rho[1:-1])))
+        step = np.linalg.solve(A, -F)
+        for k in range(30):
+            trial = rho.copy()
+            trial[1:-1] += 0.5**k * step
+            if np.all(trial > 0) and np.all(trial < m.rho_max) and \
+                    np.max(np.abs(residual(trial))) < np.max(np.abs(F)):
+                rho = trial
+                break
+        else:
+            break
+    return rho
+
+
+@pytest.mark.parametrize("m, rho1, rho2, T", [(FLAT, 0.8, 1.0, math.log(2)),
+                                              (HYP, 0.5, 1.0, 0.6), (SPH, 0.5, 1.2, 0.5)])
+def test_warm_start_profile_ends_without_a_long_failed_search(monkeypatch, m, rho1, rho2, T):
+    t = AnnulusGrid(1.0, math.exp(T), 128, 128).t
+    reference = _halving_profile(m, rho1, rho2, t)
+    calls = []
+    dG2 = m.dG2
+    monkeypatch.setattr(m, "dG2", lambda r: calls.append(1) or dG2(r))
+    profile = _radial_discrete_profile(m, rho1, rho2, t)
+    assert np.max(np.abs(profile - reference)) <= 1e-12
+    # a full 30-halving search that fails costs 30 dG2 calls on its own
+    assert len(calls) < 30
 
 
 def test_constant_boundary_circle_map_satisfies_discrete_equation():

@@ -14,7 +14,6 @@ from nitsche_lab import (
     h_c,
     infer_bound,
     load_metric,
-    metric_G,
     metric_from_profile,
     psi_big,
     psi_sharp,
@@ -96,11 +95,11 @@ def test_psi_sharp_is_model_laplacian():
 
 def test_metric_G_examples():
     flat = constant_curvature_metric(FLAT)
-    assert metric_G(flat, 0.7) == pytest.approx(0.7)
+    assert flat.G(0.7) == pytest.approx(0.7)
     hyp = constant_curvature_metric(NEG)
-    assert metric_G(hyp, 1.0) == pytest.approx(1.1752011936438014, abs=1e-12)
+    assert hyp.G(1.0) == pytest.approx(1.1752011936438014, abs=1e-12)
     with pytest.raises(DomainError):
-        metric_G(constant_curvature_metric(POS), 4.0)  # outside distance range
+        constant_curvature_metric(POS).G(4.0)  # outside distance range
 
 
 def test_constant_metric_distances():

@@ -9,6 +9,7 @@ from nitsche_lab import (
     CurvatureBound,
     DomainError,
     NoSolution,
+    catalog_surface,
     constant_curvature_metric,
     critical_modulus,
     critical_outer,
@@ -18,6 +19,7 @@ from nitsche_lab import (
     radial_map_ndim,
     shoot,
     solve_bvp,
+    surface_metric,
 )
 
 FLAT = constant_curvature_metric(CurvatureBound.zero())
@@ -65,6 +67,17 @@ def test_shoot_range_exit_flagged():
     prof = shoot(SPH, 3.0, 2.0, 2.0)  # blows past the antipode distance pi
     assert prof.exited
     assert prof.exit_time is not None and prof.exit_time < 2.0
+
+
+def test_shoot_flags_a_last_step_past_the_range():
+    # Enneper (rho_max 1.3333): eight steps from rho 0.5 end at 1.3746
+    enneper = surface_metric(catalog_surface("enneper"))
+    prof = shoot(enneper, 0.5, 0.0, 1.25, n_steps=8, richardson=False)
+    assert prof.exited and prof.exit_time == pytest.approx(1.25)
+    assert prof.rho2 > enneper.rho_max and len(prof.rho) == 9
+    with pytest.raises(DomainError):
+        critical_outer(enneper, 0.5, 1.25, n_steps=8)
+    assert critical_outer(enneper, 0.5, 1.2, n_steps=8) < enneper.rho_max
 
 
 def test_solve_bvp_critical_pair():

@@ -3,19 +3,23 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from nitsche_lab import (
+    AnnulusGrid,
     CurvatureBound,
     DomainError,
     NoSolution,
     check_bound,
     constant_curvature_metric,
+    green_chain,
     psi_big,
     psi_small,
     solve_bvp,
+    solve_dirichlet,
     verify_end_to_end,
 )
 from nitsche_lab.cli import main
@@ -102,6 +106,27 @@ def test_verify_green_chain_summary():
     assert 0 <= blk["identity_gap_max"] <= 1e-6
     assert blk["chain_margin_min"] >= -2 * math.pi * rep.provenance["eps_grid"]
     json.dumps(rep.to_dict())
+
+
+def test_verify_green_chain_block_equals_per_station_green_chain():
+    rep = verify_end_to_end(HYP, 1.0, 1.7, 0.5, 1.0, n_r=64, n_theta=64)
+    f = solve_dirichlet(AnnulusGrid(1.0, 1.7, 64, 64), HYP, 0.5, 1.0)
+    with warnings.catch_warnings():  # each radius snaps to a half node
+        warnings.simplefilter("ignore")
+        chain = [green_chain(f, sigma)
+                 for sigma in np.exp(np.linspace(0.0, math.log(1.7), 10)[1:-1])]
+    gaps = [gc.flux - gc.inner_flux - gc.area for gc in chain]
+    margins = [gc.flux - 2 * math.pi * rep.psi_sharp_min * math.log(gc.sigma) for gc in chain]
+    blk = rep.subchecks["green_chain"]
+    assert blk["identity_gap_max"] == pytest.approx(np.max(np.abs(gaps)), abs=1e-12)
+    assert blk["chain_margin_min"] == pytest.approx(min(margins), abs=1e-12)
+
+
+def test_verify_end_to_end_emits_no_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for metric, rho1, rho2 in ((HYP, 0.5, 1.0), (FLAT, 0.8, 1.0)):
+            assert verify_end_to_end(metric, 1.0, 1.7, rho1, rho2, n_r=64, n_theta=64).passed
 
 
 def test_verify_orientation_swap_equivalent():
@@ -210,6 +235,15 @@ def test_cli_numerical_failure_code(tmp_path):
     rc = main(["solve-radial", "--metric", str(hyp), "--rho1", "1.0",
                "--critical", "--mod", "10.0", "--quiet"])
     assert rc == 3
+
+
+def test_cli_missing_metric_file_names_the_path(capsys):
+    rc = main(["solve-radial", "--metric", "/nonexistent.json", "--rho1", "0.5",
+               "--rho2", "1.0", "--mod", "0.3", "--quiet"])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "cannot read metric file /nonexistent.json" in err
+    assert "Expecting value" not in err
 
 
 def test_cli_invalid_input_codes(capsys):

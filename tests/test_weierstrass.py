@@ -103,6 +103,14 @@ def test_geodesic_disk_exit():
         geodesic_shoot(ENN, 0.9, 1.0, 1.0)
 
 
+def test_geodesic_exit_on_the_last_step_raises():
+    # eight steps of 0.169: the eighth ends at |z| = 1.008, outside the chart disk
+    with pytest.raises(RangeExitError) as info:
+        geodesic_shoot(ENN, 0.0, 1.0, 1.35, n_steps=8)
+    assert info.value.exit_time == pytest.approx(1.35)
+    assert abs(geodesic_shoot(ENN, 0.0, 1.0, 1.3, n_steps=8).endpoint) < 1.0
+
+
 def test_corollary_planar_flat_arithmetic():
     # scaled pair keeps the modulus at exactly log 2 inside the chart range
     rep = corollary_check(PLANAR, 0.495, 0.99, n=64)
