@@ -1,8 +1,11 @@
 """Command-line interface.
 
+Every subcommand takes --out (JSON report file) and --quiet; --tol only
+check-bound and verify, --csv only solve-radial and solve-map.
+
 Exit codes: 0 all passes; 2 mathematical fail (bound violated, no solution,
-corollary fail); 3 numerical failure (divergence, range exit, no
-convergence); 4 invalid input.
+corollary fail); 3 numerical failure (DivergenceError, RangeExitError);
+4 invalid input (a usage error, DomainError or OSError).
 """
 
 from __future__ import annotations
@@ -16,15 +19,9 @@ import numpy as np
 
 from . import __version__
 from .comparison import STATUS_OK, hessian_check, osserman_check
-from .errors import (
-    DivergenceError,
-    DomainError,
-    MaskError,
-    RangeExitError,
-    UnsupportedDataError,
-)
+from .errors import DivergenceError, DomainError, RangeExitError
 from .grid import AnnulusGrid
-from .metrics import CurvatureBound, constant_curvature_metric, load_metric
+from .metrics import CurvatureBound, load_metric
 from .modulus import Circular, modulus_capacity, modulus_circular
 from .pde import residual_norm, solve_dirichlet
 from .radial import NoSolution, shoot, solve_bvp
@@ -43,22 +40,27 @@ class _Parser(argparse.ArgumentParser):
         raise _CliInputError(message)
 
 
-def _common() -> argparse.ArgumentParser:
+_OPTIONAL = {"--csv": {"help": "write tabular output here"},
+             "--tol": {"type": float, "default": 1e-6, "help": "report tolerance"}}
+
+
+def _common(*optional) -> list:
+    """--out and --quiet, plus the ``optional`` options of _OPTIONAL."""
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--out", help="write the JSON report here")
-    p.add_argument("--csv", help="write tabular output here")
-    p.add_argument("--tol", type=float, default=1e-6, help="report tolerance")
     p.add_argument("--quiet", action="store_true", help="suppress stdout summary")
-    return p
+    for name in optional:
+        p.add_argument(name, **_OPTIONAL[name])
+    return [p]
 
 
 def build_parser() -> _Parser:
     root = _Parser(prog="nitsche-lab", description=__doc__)
     root.add_argument("--version", action="version", version=__version__)
     sub = root.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    common = [_common()]
+    common = _common()
 
-    p = sub.add_parser("solve-radial", parents=common,
+    p = sub.add_parser("solve-radial", parents=_common("--csv"),
                        help="radial harmonic map from the first integral")
     p.add_argument("--metric", required=True)
     p.add_argument("--rho1", type=float, required=True)
@@ -69,7 +71,7 @@ def build_parser() -> _Parser:
     p.add_argument("--mod", type=float, required=True)
     p.add_argument("--steps", type=int, default=4096)
 
-    p = sub.add_parser("solve-map", parents=common, help="grid harmonic map solve")
+    p = sub.add_parser("solve-map", parents=_common("--csv"), help="grid harmonic map solve")
     for name, typ in (("--metric", str), ("--r1", float), ("--r2", float),
                       ("--rho1", float), ("--rho2", float)):
         p.add_argument(name, type=typ, required=True)
@@ -77,8 +79,7 @@ def build_parser() -> _Parser:
     p.add_argument("--ntheta", type=int, default=128)
 
     p = sub.add_parser("modulus", parents=common, help="conformal modulus of a domain")
-    p.add_argument("--domain", nargs="+", required=True,
-                   metavar="FILE|circular R1 R2")
+    p.add_argument("--domain", nargs=3, required=True, metavar=("circular", "R1", "R2"))
     p.add_argument("--n", type=int, default=256)
 
     p = sub.add_parser("minimal", parents=common,
@@ -95,7 +96,7 @@ def build_parser() -> _Parser:
                    metavar="constant:SIGN[:KAPPA]|FILE")
     p.add_argument("--rho-max", type=float, required=True)
 
-    p = sub.add_parser("check-bound", parents=common,
+    p = sub.add_parser("check-bound", parents=_common("--tol"),
                        help="arithmetic check of the annulus bound")
     p.add_argument("--sign", required=True, choices=["negative", "zero", "positive"])
     p.add_argument("--kappa", type=float)
@@ -103,7 +104,7 @@ def build_parser() -> _Parser:
     p.add_argument("--rho2", type=float, required=True)
     p.add_argument("--mod", type=float, required=True)
 
-    p = sub.add_parser("verify", parents=common,
+    p = sub.add_parser("verify", parents=_common("--tol"),
                        help="end-to-end solve + bound report with sub-checks")
     for name, typ in (("--metric", str), ("--r1", float), ("--r2", float),
                       ("--rho1", float), ("--rho2", float)):
@@ -117,7 +118,7 @@ def _emit(args, payload: dict, rows=None, header=None) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
-    if args.csv and rows is not None:
+    if rows is not None and args.csv:  # only commands with --csv pass rows
         with open(args.csv, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(header)
@@ -179,17 +180,13 @@ def _cmd_solve_map(args) -> int:
 
 
 def _cmd_modulus(args) -> int:
-    spec = args.domain
-    if spec[0] == "circular":
-        if len(spec) != 3:
-            raise _CliInputError("circular domain needs: --domain circular R1 R2")
-        r1, r2 = float(spec[1]), float(spec[2])
-    else:
-        with open(spec[0], encoding="utf-8") as fh:
-            d = json.load(fh)
-        if d.get("kind") != "circular":
-            raise _CliInputError("domain files support kind 'circular'")
-        r1, r2 = d["r1"], d["r2"]
+    kind, *radii = args.domain
+    if kind != "circular":
+        raise _CliInputError(f"unknown domain {kind!r}: use --domain circular R1 R2")
+    try:
+        r1, r2 = map(float, radii)
+    except ValueError:
+        raise _CliInputError(f"R1 and R2 must be numbers, got {radii}") from None
     cap = modulus_capacity(Circular(r1, r2), args.n)
     _emit(args, {"modulus": cap, "closed_form": modulus_circular(r1, r2), "n": args.n})
     return OK
@@ -208,12 +205,10 @@ def _cmd_minimal(args) -> int:
 
 
 def _against_metric(spec: str):
+    """``constant:SIGN[:KAPPA]`` as a metric description with its bound, else a file."""
     if spec.startswith("constant:"):
-        parts = spec.split(":")
-        sign = parts[1]
-        kappa = float(parts[2]) if len(parts) > 2 else None
-        bound = CurvatureBound(sign, kappa)
-        return constant_curvature_metric(bound), bound
+        m = load_metric(dict(zip(("kind", "sign", "kappa"), spec.split(":", 2))))
+        return m, m.bound
     return load_metric(spec), None
 
 
@@ -277,11 +272,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _DISPATCH[args.command](args)
-    except _CliInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return BAD_INPUT
-    except (DomainError, MaskError, UnsupportedDataError, OSError,
-            json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (_CliInputError, DomainError, OSError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return BAD_INPUT
     except (DivergenceError, RangeExitError) as exc:

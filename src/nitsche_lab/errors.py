@@ -20,9 +20,9 @@ class DivergenceError(RuntimeError):
     """An iterative solver stopped making progress."""
 
 
-class UnsupportedDataError(ValueError):
+class UnsupportedDataError(DomainError):
     """Input data is valid but outside what this implementation supports."""
 
 
-class MaskError(ValueError):
+class MaskError(DomainError):
     """A masked domain is degenerate (boundary loops missing or touching)."""

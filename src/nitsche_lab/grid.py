@@ -31,8 +31,8 @@ class AnnulusGrid:
     n_theta: int
 
     def __post_init__(self):
-        if not 0 < self.r1 < self.r2:
-            raise DomainError("need 0 < r1 < r2")
+        if not 0 < self.r1 < self.r2 < math.inf:
+            raise DomainError("need 0 < r1 < r2 < inf")
         if self.n_r < 16 or self.n_theta < 32:
             raise DomainError("need n_r >= 16 and n_theta >= 32")
 

@@ -42,8 +42,8 @@ _SIGNS = (NEGATIVE, ZERO, POSITIVE)
 class CurvatureBound:
     """Upper bound for the Gaussian curvature: -kappa^2, 0 or +kappa^2.
 
-    ``kappa`` must be a positive real whenever ``sign`` is not ``"zero"``;
-    it is ignored (and normalised to ``None``) for the zero bound.
+    ``kappa`` must be a positive finite real (or numeric text) whenever ``sign``
+    is not ``"zero"``; it is ignored (and normalised to ``None``) for the zero bound.
     """
 
     sign: str
@@ -55,9 +55,14 @@ class CurvatureBound:
         if self.sign == ZERO:
             object.__setattr__(self, "kappa", None)
         else:
-            if self.kappa is None or not self.kappa > 0:
-                raise DomainError("kappa must be a positive real for a nonzero bound")
-            object.__setattr__(self, "kappa", float(self.kappa))
+            try:
+                kappa = float(self.kappa)
+            except (TypeError, ValueError):
+                kappa = math.nan
+            if not 0 < kappa < math.inf:
+                raise DomainError(f"kappa must be a positive finite real for a nonzero "
+                                  f"bound, got {self.kappa!r}")
+            object.__setattr__(self, "kappa", kappa)
 
     @property
     def value(self) -> float:
@@ -221,11 +226,22 @@ class RotMetric:
 
     def check_rho(self, rho) -> None:
         rho = np.asarray(rho)
-        if np.any(rho < 0) or np.any(rho >= self.rho_max):
+        if not np.all((rho >= 0) & (rho < self.rho_max)):  # NaN fails too
             raise DomainError(
                 f"geodesic radius outside the distance range [0, {self.rho_max:.6g}) "
                 f"of {self.label}"
             )
+
+    def check_annulus(self, rho1: float, rho2: float) -> None:
+        """The one gate for radial data: admit A(rho1, rho2) or raise DomainError.
+
+        :class:`GeodesicAnnulus` checks 0 < rho1 < rho2 < inf and, for a positive
+        bound, the cap; rho2 must lie in the distance range and G'(rho1) > 0.
+        """
+        GeodesicAnnulus(rho1, rho2, self.bound or CurvatureBound.zero())
+        self.check_rho(rho2)
+        if not float(self.G_prime(rho1)) > 0:
+            raise DomainError(f"G'(rho1) <= 0 at rho1 = {rho1:.6g}: radial maps are not monotone")
 
     def G(self, rho):
         """Angular metric coefficient G(rho) = h(g(rho)) g(rho)."""
@@ -325,14 +341,17 @@ def metric_from_profile(samples, bound: CurvatureBound | None = None,
     """Build a metric from (s, h(s)) samples.
 
     The density is interpolated by a monotone cubic (PCHIP); distance and
-    inverse come from :func:`distance_table` on >= 1024 knots.  Zero or
-    negative density samples are rejected.
+    inverse come from :func:`distance_table` on >= 1024 knots.  Non-numeric,
+    non-finite, zero or negative density samples are rejected.
     """
     from scipy.interpolate import PchipInterpolator
 
-    arr = np.asarray(samples, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 4:
-        raise DomainError("profile samples must be an (n, 2) array with n >= 4")
+    try:
+        arr = np.asarray(samples, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"profile samples must be numeric: {exc}") from None
+    if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 4 or not np.all(np.isfinite(arr)):
+        raise DomainError("profile samples must be a finite (n, 2) array with n >= 4")
     s, h = arr[:, 0], arr[:, 1]
     if s[0] < 0 or np.any(np.diff(s) <= 0):
         raise DomainError("profile radii must be nonnegative and strictly increasing")
@@ -376,15 +395,13 @@ def gaussian_curvature(m: RotMetric, s):
     return out if out.ndim else float(out)
 
 
-def infer_bound(m: RotMetric, s_lo: float | None = None, s_hi: float | None = None,
-                n: int = 64) -> CurvatureBound:
-    """Estimate an upper curvature bound by sampling the FD curvature."""
+def infer_bound(m: RotMetric) -> CurvatureBound:
+    """Estimate an upper curvature bound from the FD curvature at 64 chart radii
+    from 0.1% to 99.9% of the chart radius (10 for an entire-plane chart)."""
     if m.bound is not None:
         return m.bound
-    hi_edge = m.domain_radius if math.isfinite(m.domain_radius) else 10.0
-    lo = s_lo if s_lo is not None else hi_edge * 1e-3
-    hi = s_hi if s_hi is not None else hi_edge * (1 - 1e-3)
-    ks = gaussian_curvature(m, np.linspace(lo, hi, n))
+    edge = m.domain_radius if math.isfinite(m.domain_radius) else 10.0
+    ks = gaussian_curvature(m, np.linspace(edge * 1e-3, edge * (1 - 1e-3), 64))
     sup_k = float(np.max(ks))
     if sup_k > 1e-8:
         return CurvatureBound.positive(math.sqrt(sup_k * (1 + 1e-6)))
@@ -415,14 +432,13 @@ class GeodesicAnnulus:
             )
 
 
-def _bound_from_dict(d) -> CurvatureBound:
-    return CurvatureBound(d["sign"], d.get("kappa"))
+_KIND_KEYS = {"constant": "sign", "profile": "samples", "weierstrass": "surface"}
 
 
 def load_metric(source) -> RotMetric:
-    """Load a metric description (path, JSON text, or dict).
+    """Load a metric description (path, JSON text, or dict); the one parser of them.
 
-    Recognised forms::
+    Anything but one of these objects raises DomainError::
 
         {"kind": "constant", "sign": "negative|zero|positive", "kappa": x}
         {"kind": "profile", "samples": [[s, h], ...]}
@@ -435,7 +451,7 @@ def load_metric(source) -> RotMetric:
         try:
             with open(source, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except (OSError, TypeError) as exc:
+        except (OSError, TypeError, ValueError) as exc:  # ValueError: not UTF-8 text
             unread = exc
         try:
             spec = json.loads(text)
@@ -444,13 +460,17 @@ def load_metric(source) -> RotMetric:
                 raise DomainError(f"cannot read metric file {source}: "
                                   f"{getattr(unread, 'strerror', None) or unread}") from unread
             raise DomainError(f"unreadable metric description: {exc}") from exc
+    if not isinstance(spec, dict):
+        raise DomainError(f"a metric description is a JSON object, not {type(spec).__name__}")
     kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in _KIND_KEYS:
+        raise DomainError(f"unknown metric kind {kind!r}")
+    if _KIND_KEYS[kind] not in spec:
+        raise DomainError(f"metric kind {kind!r} needs the key {_KIND_KEYS[kind]!r}")
     if kind == "constant":
-        return constant_curvature_metric(_bound_from_dict(spec))
+        return constant_curvature_metric(CurvatureBound(spec["sign"], spec.get("kappa")))
     if kind == "profile":
         return metric_from_profile(spec["samples"], label="profile")
-    if kind == "weierstrass":
-        from .weierstrass import surface_metric, catalog_surface
+    from .weierstrass import surface_metric, catalog_surface
 
-        return surface_metric(catalog_surface(spec["surface"]))
-    raise DomainError(f"unknown metric kind {kind!r}")
+    return surface_metric(catalog_surface(spec["surface"]))

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import DomainError, MaskError
+from .errors import DivergenceError, DomainError, MaskError
 from .metrics import RotMetric
 
 INTERIOR, INNER, OUTER, OUTSIDE = 0, 1, 2, 3
@@ -29,8 +29,7 @@ INTERIOR, INNER, OUTER, OUTSIDE = 0, 1, 2, 3
 
 def modulus_circular(r1: float, r2: float) -> float:
     """log(r2/r1); scale invariant."""
-    if not 0 < r1 < r2:
-        raise DomainError("need 0 < r1 < r2")
+    Circular(r1, r2)
     return math.log(r2 / r1)
 
 
@@ -42,8 +41,8 @@ class Circular:
     r2: float
 
     def __post_init__(self):
-        if not 0 < self.r1 < self.r2:
-            raise DomainError("need 0 < r1 < r2")
+        if not 0 < self.r1 < self.r2 < math.inf:
+            raise DomainError("need 0 < r1 < r2 < inf")
 
 
 @dataclass(frozen=True)
@@ -109,14 +108,13 @@ def masked_geodesic_annulus(m: RotMetric, rho1: float, rho2: float,
 
     The polar window extends a few cells beyond the level circles; boundary
     nodes are the grid circles nearest to each level crossing, so the
-    snapping error per boundary is at most half a cell.
+    snapping error per boundary is at most half a cell.  The radii are
+    admitted by :meth:`RotMetric.check_annulus`.
     """
-    if not 0 < rho1 < rho2 < m.rho_max:
-        raise DomainError("need 0 < rho1 < rho2 inside the metric's distance range")
+    m.check_annulus(rho1, rho2)
     if n < 16:
         raise DomainError("need n >= 16")
-    s1 = float(m.inverse_distance(rho1))
-    s2 = float(m.inverse_distance(rho2))
+    s1, s2 = m.inverse_distance(np.array([rho1, rho2])).tolist()
     t_lo, t_hi = math.log(s1), math.log(s2)
     # incommensurate pads so the level circles genuinely fall between nodes
     cell = (t_hi - t_lo) / (n - 8)
@@ -179,7 +177,7 @@ def _laplace_solve(d: MaskedPolarDomain) -> np.ndarray:
     except TypeError:  # older scipy spelling
         x, info = spla.cg(A, b, x0=x0, tol=1e-10, atol=0.0, maxiter=40 * max(nT, nP))
     if info != 0:
-        raise DomainError(f"capacity CG did not converge (info={info})")
+        raise DivergenceError(f"capacity CG did not converge (info={info})")
     u = np.select([d.roles == INNER, d.roles == OUTER], [0.0, 1.0], np.nan)
     u[unknown] = x
     return u

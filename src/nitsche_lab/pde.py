@@ -28,7 +28,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import DivergenceError, DomainError
 from .grid import AnnulusGrid, AnnulusMap, SolveInfo, d_phi, d_phi2, d_t, d_t2
-from .metrics import CurvatureBound, GeodesicAnnulus, RotMetric, psi_sharp
+from .metrics import CurvatureBound, RotMetric, psi_sharp
 
 
 def _log_density_sq_w(m: RotMetric, w: np.ndarray) -> np.ndarray:
@@ -115,23 +115,28 @@ def _neighbours(x: np.ndarray):
     return x[2:], x[:-2], np.roll(x, -1, axis=1)[1:-1], np.roll(x, 1, axis=1)[1:-1]
 
 
+def _lap5(g: AnnulusGrid, x: np.ndarray) -> np.ndarray:
+    """5-point Laplacian of x on the interior rows, periodic in phi."""
+    x_tp, x_tm, x_pp, x_pm = _neighbours(x)
+    return (x_tp - 2 * x[1:-1] + x_tm) / g.h_t**2 + (x_pp - 2 * x[1:-1] + x_pm) / g.h_phi**2
+
+
 def _stencil(g: AnnulusGrid, m: RotMetric, rho: np.ndarray, u: np.ndarray):
     """2nd-order 5-point state of (rho, u = theta - phi) on the interior rows.
 
-    ``lap`` is the 5-point Laplacian of rho; ``u_t`` and ``theta_p`` the centred
+    ``lap`` is :func:`_lap5` of rho; ``u_t`` and ``theta_p`` the centred
     D_t u and D_phi theta, ``ang = u_t^2 + theta_p^2``; ``dG2`` is (G^2)'(rho)
     on all rows; ``a`` holds G^2 at the (+t, -t, +phi, -phi) half nodes,
     ``du_t`` and ``tau`` the one-sided D_t u and D_phi theta at the (+, -) ones.
     """
     ht, hp = g.h_t, g.h_phi
-    r_tp, r_tm, r_pp, r_pm = _neighbours(rho)
     u_tp, u_tm, u_pp, u_pm = _neighbours(u)
     a = np.asarray(m.G(rho)) ** 2
     u_t = (u_tp - u_tm) / (2 * ht)
     theta_p = 1.0 + (u_pp - u_pm) / (2 * hp)
     return SimpleNamespace(
-        lap=(r_tp - 2 * rho[1:-1] + r_tm) / ht**2 + (r_pp - 2 * rho[1:-1] + r_pm) / hp**2,
-        u_t=u_t, theta_p=theta_p, ang=u_t**2 + theta_p**2, dG2=np.asarray(m.dG2(rho)),
+        lap=_lap5(g, rho), u_t=u_t, theta_p=theta_p, ang=u_t**2 + theta_p**2,
+        dG2=np.asarray(m.dG2(rho)),
         a=tuple(0.5 * (a[1:-1] + a_k) for a_k in _neighbours(a)),
         du_t=((u_tp - u[1:-1]) / ht, (u[1:-1] - u_tm) / ht),
         tau=(1.0 + (u_pp - u[1:-1]) / hp, 1.0 + (u[1:-1] - u_pm) / hp),
@@ -163,8 +168,7 @@ def green_stations(f: AnnulusMap, sigmas):
     t_half = 0.5 * (g.t[:-1] + g.t[1:])
     k = np.argmin(np.abs(t_half[:, None] - np.log(sigmas)), axis=0)
     flux = (f.rho[1:] - f.rho[:-1]).sum(axis=1) * g.h_phi / g.h_t
-    lap = _stencil(g, f.metric, f.rho, f.theta - g.mesh()[1]).lap
-    area = np.concatenate([[0.0], np.cumsum(lap.sum(axis=1))]) * g.h_t * g.h_phi
+    area = np.concatenate([[0.0], np.cumsum(_lap5(g, f.rho).sum(axis=1))]) * g.h_t * g.h_phi
     return np.exp(t_half[k]), flux[k], area[k], float(flux[0])
 
 
@@ -192,11 +196,12 @@ def _damped_newton(residual, newton_step, x: np.ndarray, tol: float, max_iter: i
     most 30 times) until an admissible trial lowers max|F|; a trial that
     rounds back to x ends the search, since every shorter one does too.
     Returns (x, history of max|F|, converged), stopping once max|F| <= tol,
-    at the first failed search, or after ``max_iter`` steps.
+    at a max|F| that is not finite, at the first failed search, or after
+    ``max_iter`` steps.
     """
     F = residual(x)
     history = [float(np.max(np.abs(F)))]
-    while history[-1] > tol and len(history) <= max_iter:
+    while tol < history[-1] < math.inf and len(history) <= max_iter:
         dx = newton_step(x, F)
         for k in range(30):
             trial = x + 0.5**k * dx
@@ -279,21 +284,16 @@ def solve_dirichlet(grid: AnnulusGrid, m: RotMetric, rho1: float, rho2: float,
     """Damped-Newton solution of the discrete map equation with symmetric data.
 
     Boundary data: rho = rho1 on |z| = r1, rho = rho2 on |z| = r2, and
-    theta = arg z on both circles.  Terminates when the max residual of the
-    discrete system falls below ``tol``; raises :class:`DivergenceError` at
-    the first failed line search or after ``max_iter`` steps.  The returned
-    map carries a :class:`SolveInfo`.
+    theta = arg z on both circles, admitted by :meth:`RotMetric.check_annulus`.
+    Terminates when the max residual of the discrete system falls below
+    ``tol``; raises :class:`DivergenceError` at the first failed line search
+    or after ``max_iter`` steps.  The returned map carries a :class:`SolveInfo`.
 
     ``warm_start=True`` seeds Newton with the 1-D discrete radial solution
     (the exact answer for symmetric data); ``False`` starts from the linear
     interpolant, forcing the full 2-D iteration.
     """
-    if m.bound is not None:
-        GeodesicAnnulus(rho1, rho2, m.bound)
-    elif not 0 < rho1 < rho2:
-        raise DomainError("need 0 < rho1 < rho2")
-    m.check_rho(rho2)
-
+    m.check_annulus(rho1, rho2)
     if warm_start:
         rho_line = _radial_discrete_profile(m, rho1, rho2, grid.t)
     else:

@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DivergenceError, DomainError
-from .metrics import GeodesicAnnulus, RotMetric
+from .metrics import RotMetric
 
 DEFAULT_STEPS = 4096
 QUAD_TOL = 1e-12  # absolute error target of the T(v0) quadrature
@@ -108,9 +108,6 @@ class RadialProfile:
     def rho_at(self, t):
         return self._spline(t)
 
-    def slope_at(self, t):
-        return self._spline(t, 1)
-
 
 _RHO_CEILING = 300.0  # keeps sinh/cosh of runaway trajectories finite
 
@@ -160,8 +157,8 @@ def shoot(m: RotMetric, rho1: float, slope0: float, T: float,
     ``richardson=True`` the equation is re-integrated at half the step and
     the maximum disagreement on shared nodes is stored as the residual.
     """
-    if T <= 0:
-        raise DomainError("modulus T must be positive")
+    if not (0 < T < math.inf and n_steps >= 1):
+        raise DomainError("need a positive finite modulus T and n_steps >= 1")
     m.check_rho(rho1)
     rhs = _scalar_rhs(m)
     t, rho, slope, exited_at = _radial_rk4(rhs, rho1, slope0, T, n_steps, m.rho_max)
@@ -194,20 +191,6 @@ def critical_outer(m: RotMetric, rho1: float, T: float,
     return prof.rho2
 
 
-def _check_annulus(m: RotMetric, rho1: float, rho2: float) -> float:
-    """Validate radial data (cap and finiteness by :class:`GeodesicAnnulus` when
-    the metric has a bound; G'(rho1) > 0) and return q0 = (G^2)'(rho1)."""
-    if m.bound is not None:
-        GeodesicAnnulus(rho1, rho2, m.bound)
-    elif not 0 < rho1 < rho2 < math.inf:
-        raise DomainError("need 0 < rho1 < rho2 < inf")
-    m.check_rho(rho2)
-    q0 = float(m.dG2(rho1))
-    if not q0 > 0:
-        raise DomainError(f"G'(rho1) <= 0 at rho1 = {rho1:.6g}: radial maps are not monotone")
-    return q0
-
-
 def modulus_of_slope(m: RotMetric, rho1: float, rho2: float, v0: float,
                      tol: float = QUAD_TOL) -> float:
     """Modulus T(v0) at which the trajectory from (rho1, v0) reaches rho2.
@@ -218,11 +201,14 @@ def modulus_of_slope(m: RotMetric, rho1: float, rho2: float, v0: float,
     (q0 sqrt(v0^2 + G^2 - G1^2)) is smooth for every v0 >= 0; 32-point
     Gauss-Legendre panels in sigma, tau = tau_max sigma^2, keep its weak
     branch point near -v0 sqrt(v0 / tau_max) away.  Panels double until two
-    successive sums agree to ``tol``.  Raises DomainError where G <= G1.
+    successive sums agree to ``tol``.  Data is admitted by
+    :meth:`RotMetric.check_annulus`; DomainError where the radicand
+    v0^2 + G^2 - G1^2 <= 0, where the trajectory would turn back.
     """
     if not 0 <= v0 < math.inf:
         raise DomainError("need a finite slope v0 >= 0")
-    q0 = _check_annulus(m, rho1, rho2)
+    m.check_annulus(rho1, rho2)
+    q0 = float(m.dG2(rho1))
     g1 = float(m.G(rho1))
     near_u = _NEAR_ZONE * 2.0 * g1 * g1 / q0  # a fraction of the length G1/G1'
     tau_max = q0 * (rho2 - rho1) / (math.sqrt(v0 * v0 + q0 * (rho2 - rho1)) + v0)
@@ -237,10 +223,12 @@ def modulus_of_slope(m: RotMetric, rho1: float, rho2: float, v0: float,
             # difference loses all its digits as u -> 0
             un = u[near]
             diff[near] = un * (np.asarray(m.G_prime(rho1 + un[:, None] * _GL4_S)) @ _GL4_W)
-        if np.any(diff <= 0):
-            raise DomainError(f"G({rho[diff <= 0][0]:.6g}) <= G(rho1): radial maps from "
-                              f"rho1 = {rho1:.6g} are not monotone up to rho2")
-        return 2.0 * (v0 + tau) / (q0 * np.sqrt(v0 * v0 + diff * (diff + 2.0 * g1)))
+        radicand = v0 * v0 + diff * (diff + 2.0 * g1)
+        if np.any(radicand <= 0):
+            raise DomainError(f"(v0^2 + G({rho[radicand <= 0][0]:.6g})^2) <= G(rho1)^2: the "
+                              f"trajectory from rho1 = {rho1:.6g} with slope v0 = {v0:.6g} "
+                              "turns back before rho2")
+        return 2.0 * (v0 + tau) / (q0 * np.sqrt(radicand))
 
     prev, panels = math.nan, 1
     while panels <= _MAX_PANELS:

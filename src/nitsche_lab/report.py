@@ -129,9 +129,13 @@ def check_bound(bound: CurvatureBound, rho1: float, rho2: float, mod: float,
         raise DomainError("modulus must be positive and finite")
     psi = float(psi_big(bound, rho1))
     lhs = rho2 / rho1
-    rhs = psi * mod**2 + 1.0
+    try:
+        mod2 = mod**2
+    except OverflowError:  # mod above 1.3e154: the right-hand sides are infinite
+        mod2 = math.inf
+    rhs = psi * mod2 + 1.0
     sharp = _psi_sharp_min(bound, rho1, rho2) / (2 * rho1)
-    rhs_sharp = sharp * mod**2 + 1.0
+    rhs_sharp = sharp * mod2 + 1.0
     params = {"bound": (bound.sign, bound.kappa), "rho1": rho1, "rho2": rho2, "mod": mod}
     return BoundReport(
         mod=mod,

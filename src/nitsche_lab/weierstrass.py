@@ -80,7 +80,7 @@ CATALOG: dict[str, WeierstrassData] = {
 def catalog_surface(name: str) -> WeierstrassData:
     try:
         return CATALOG[name]
-    except KeyError:
+    except (KeyError, TypeError):
         raise DomainError(
             f"unknown surface {name!r}; catalog: {sorted(CATALOG)}"
         ) from None
@@ -238,44 +238,27 @@ def corollary_check(w: WeierstrassData, rho1: float, rho2: float, n: int = 256):
     For symmetric data the chart region between the distance levels is the
     circular annulus with radii g(rho1), g(rho2), whose modulus is the log
     ratio; the capacity modulus of the masked level-set region is computed
-    as a cross-check and recorded in the provenance.
+    as a cross-check and recorded in the provenance.  The report is
+    :func:`report.check_bound` under the zero bound with tolerance 0, and the
+    verdict is strict.  The radii are admitted by the gate of
+    :func:`modulus.masked_geodesic_annulus`.
     """
     from .modulus import masked_geodesic_annulus, modulus_capacity
-    from .report import BoundReport
+    from .report import check_bound
 
     m = surface_metric(w)
-    if not 0 < rho1 < rho2:
-        raise DomainError("need 0 < rho1 < rho2")
-    if rho2 >= m.rho_max:
-        raise DomainError(
-            f"rho2 exceeds the surface's radial distance range ({m.rho_max:.6g})"
-        )
-    s1 = float(m.inverse_distance(rho1))
-    s2 = float(m.inverse_distance(rho2))
-    mod = math.log(s2 / s1)
     masked = masked_geodesic_annulus(m, rho1, rho2, n)
+    s1, s2 = m.inverse_distance(np.array([rho1, rho2])).tolist()
+    mod = math.log(s2 / s1)
     cap = modulus_capacity(masked)
-    lhs = rho2 / rho1
-    rhs = 0.5 * mod**2 + 1.0
-    return BoundReport(
-        mod=mod,
-        rho1=rho1,
-        rho2=rho2,
-        psi_big_value=0.5,
-        lhs=lhs,
-        rhs=rhs,
-        margin=lhs - rhs,
-        passed=lhs - rhs > 0,
-        psi_sharp_min=rho1 / (2 * rho1),
-        rhs_sharp=rhs,
-        margin_sharp=lhs - rhs,
-        tolerance=0.0,
-        provenance={
-            "surface": w.name,
-            "chart_radii": (s1, s2),
-            "capacity_modulus": cap,
-            "capacity_agreement": abs(cap - mod),
-            "grid": n,
-            "strict": True,
-        },
-    )
+    rep = check_bound(CurvatureBound.zero(), rho1, rho2, mod, tol=0.0)
+    rep.passed = rep.margin > 0
+    rep.provenance.update({
+        "surface": w.name,
+        "chart_radii": (s1, s2),
+        "capacity_modulus": cap,
+        "capacity_agreement": abs(cap - mod),
+        "grid": n,
+        "strict": True,
+    })
+    return rep

@@ -199,3 +199,19 @@ def test_import_leaves_scipy_solvers_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
     assert out.stdout.strip() == "[]"
+
+
+def test_modulus_of_slope_past_a_maximum_of_G():
+    # G = s/(1 + s^2)^2 peaks at s = 1/sqrt(3) and falls below G(0.2) before
+    # rho = 0.74: no zero-slope map reaches 0.74, but every v0 whose radicand
+    # v0^2 + G^2 - G(rho1)^2 stays positive does
+    s = np.linspace(0.0, 3.0, 200)
+    m = nl.metric_from_profile(np.c_[s, (1.0 + s**2) ** -2])
+    with pytest.raises(nl.DomainError, match="turns back"):
+        nl.critical_modulus(m, 0.2, 0.74)
+    for v0 in (0.5, 1.0, 1.79, 3.0):
+        T = nl.modulus_of_slope(m, 0.2, 0.74, v0)
+        prof = nl.shoot(m, 0.2, v0, T, richardson=False)
+        assert prof.is_monotone and not prof.exited
+        # the shot's miss at rho2 as a time: (rho(T) - rho2) / rho'(T)
+        assert abs((prof.rho2 - 0.74) / prof.slope[-1]) < 1e-8

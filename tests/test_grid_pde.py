@@ -22,7 +22,9 @@ from nitsche_lab import (
     solve_dirichlet,
     surface_metric,
 )
-from nitsche_lab.pde import _assemble_jacobian, _radial_discrete_profile, _system_residual
+from nitsche_lab.pde import (
+    _assemble_jacobian, _radial_discrete_profile, _stencil, _system_residual, green_stations,
+)
 
 FLAT = constant_curvature_metric(CurvatureBound.zero())
 HYP = constant_curvature_metric(CurvatureBound.negative(1.0))
@@ -254,7 +256,8 @@ def test_green_chain_flat_critical_closed_form():
     prof = shoot(FLAT, 0.8, 0.0, math.log(2), richardson=False)
     grid = AnnulusGrid(0.5, 1.0, 8193, 32)
     f = embed_radial_profile(grid, prof)
-    gc = green_chain(f, 0.75)
+    with pytest.warns(UserWarning, match="snapped"):
+        gc = green_chain(f, 0.75)
     t = math.log(gc.sigma / 0.5)
     assert gc.flux == pytest.approx(2 * math.pi * 0.4 * (math.exp(t) - math.exp(-t)), abs=1e-8)
 
@@ -288,3 +291,17 @@ def test_green_chain_domain_errors():
     f = _critical_flat_map(64, 64)
     with pytest.raises(DomainError):
         green_chain(f, 0.2)
+
+
+def test_green_stations_read_only_the_stencil_laplacian(monkeypatch):
+    grid = AnnulusGrid(1.0, math.exp(0.6), 32, 32)
+    f = solve_dirichlet(grid, HYP, 0.5, 1.0)
+    lap = _stencil(grid, HYP, f.rho, f.theta - grid.mesh()[1]).lap
+
+    def metric_call(*args):
+        raise AssertionError("green_stations evaluated the metric")
+
+    monkeypatch.setattr(HYP, "G", metric_call)
+    monkeypatch.setattr(HYP, "dG2", metric_call)
+    _, _, area, _ = green_stations(f, [grid.r2])
+    assert area[0] == pytest.approx(np.sum(lap) * grid.h_t * grid.h_phi, rel=1e-12)

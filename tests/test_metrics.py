@@ -198,3 +198,25 @@ def test_infer_bound_signs():
     assert infer_bound(constant_curvature_metric(NEG)).sign == "negative"
     assert infer_bound(constant_curvature_metric(FLAT)).sign == "zero"
     assert infer_bound(constant_curvature_metric(POS)).sign == "positive"
+
+
+def test_load_metric_rejects_malformed_descriptions():
+    for bad in ("3", "[]", "null", '"constant"', "{}", '{"kind": ["constant"]}',
+                '{"kind": "cone"}', '{"kind": "constant"}', '{"kind": "profile"}',
+                '{"kind": "weierstrass"}', '{"kind": "weierstrass", "surface": []}',
+                '{"kind": "constant", "sign": "negative", "kappa": "abc"}',
+                '{"kind": "constant", "sign": "negative", "kappa": [1.0]}',
+                '{"kind": "constant", "sign": "positive", "kappa": Infinity}',
+                '{"kind": "profile", "samples": "abc"}',
+                '{"kind": "profile", "samples": [[0, 1], [1, "x"], [2, 1], [3, 1]]}',
+                '{"kind": "profile", "samples": [[0, 1], [1, NaN], [2, 1], [3, 1]]}'):
+        with pytest.raises(DomainError):
+            load_metric(bad)
+    # numeric text is a number, as on the command line
+    assert load_metric({"kind": "constant", "sign": "negative", "kappa": "2"}).bound.kappa == 2.0
+
+
+def test_invalid_input_errors_share_one_family():
+    from nitsche_lab import MaskError, UnsupportedDataError
+
+    assert issubclass(MaskError, DomainError) and issubclass(UnsupportedDataError, DomainError)

@@ -14,6 +14,7 @@ from nitsche_lab import (
     AnnulusMap,
     Circular,
     CurvatureBound,
+    DivergenceError,
     DomainError,
     MaskError,
     angular_energy,
@@ -29,6 +30,7 @@ from nitsche_lab.modulus import (
     INNER, INTERIOR, OUTER, OUTSIDE, MaskedPolarDomain, _cell_energy, _laplace_solve,
     masked_from_circular,
 )
+from nitsche_lab.cli import main
 
 FLAT = constant_curvature_metric(CurvatureBound.zero())
 
@@ -253,3 +255,10 @@ def test_angular_energy_floor_for_converged_map():
     hyp = constant_curvature_metric(CurvatureBound.negative(1.0))
     f = solve_dirichlet(grid, hyp, 0.5, 1.1)
     assert angular_energy(f) >= 2 * math.pi * grid.modulus - grid.eps_grid
+
+
+def test_capacity_cg_failure_is_a_numerical_failure(monkeypatch):
+    monkeypatch.setattr(spla, "cg", lambda A, b, **kw: (np.zeros_like(b), 1))
+    with pytest.raises(DivergenceError, match="did not converge"):
+        modulus_capacity(masked_from_circular(0.5, 1.0, 16))
+    assert main(["modulus", "--domain", "circular", "0.5", "1.0", "--n", "16", "--quiet"]) == 3

@@ -7,11 +7,13 @@ import pytest
 
 from nitsche_lab import (
     CATALOG,
+    CurvatureBound,
     DomainError,
     RangeExitError,
     UnsupportedDataError,
     WeierstrassData,
     catalog_surface,
+    check_bound,
     corollary_check,
     gaussian_curvature,
     geodesic_shoot,
@@ -142,3 +144,13 @@ def test_corollary_margin_ratio_for_shrinking_annuli():
 def test_corollary_rejects_out_of_range():
     with pytest.raises(DomainError):
         corollary_check(ENN, 0.5, 1.5, n=64)  # beyond d(1) = 4/3
+
+
+def test_corollary_report_is_check_bound_under_the_zero_bound():
+    rep = corollary_check(ENN, 0.54, 1.2, n=64)
+    ref = check_bound(CurvatureBound.zero(), 0.54, 1.2, rep.mod, tol=0.0)
+    for key in ("psi_big_value", "lhs", "rhs", "margin", "psi_sharp_min", "rhs_sharp",
+                "margin_sharp", "tolerance"):
+        assert getattr(rep, key) == getattr(ref, key), key
+    assert rep.psi_sharp_min == 0.54  # min of psi_sharp = rho over [rho1, rho2]
+    assert rep.passed == (rep.margin > 0) and rep.provenance["strict"]
