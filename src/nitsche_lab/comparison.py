@@ -25,6 +25,7 @@ from .errors import DomainError
 from .metrics import CurvatureBound, RotMetric, gaussian_curvature, h_c
 
 TOL = 1e-7
+N_SAMPLES = 200  # radii sampled uniformly in (0, rho_max)
 STATUS_OK = "ok"
 STATUS_PRECONDITION = "precondition_violated"
 
@@ -38,12 +39,11 @@ class ComparisonReport:
     min_margin: float
     status: str = STATUS_OK
     note: str = ""
-    tolerance: float = TOL
     radial_hessian_zero: bool = True
 
     @property
     def passed(self) -> bool:
-        return self.status == STATUS_OK and self.min_margin >= -self.tolerance
+        return self.status == STATUS_OK and self.min_margin >= -TOL
 
 
 def _curvature_at_geodesic_radii(m: RotMetric, rho: np.ndarray) -> np.ndarray:
@@ -51,12 +51,11 @@ def _curvature_at_geodesic_radii(m: RotMetric, rho: np.ndarray) -> np.ndarray:
     return np.asarray(gaussian_curvature(m, s), dtype=float)
 
 
-def _samples(rho_max: float, n: int) -> np.ndarray:
-    return rho_max * np.arange(1, n + 1) / (n + 1)
+def _samples(rho_max: float) -> np.ndarray:
+    return rho_max * np.arange(1, N_SAMPLES + 1) / (N_SAMPLES + 1)
 
 
-def osserman_check(m: RotMetric, m_hat: RotMetric, rho_max: float,
-                   n: int = 200, tol: float = TOL) -> ComparisonReport:
+def osserman_check(m: RotMetric, m_hat: RotMetric, rho_max: float) -> ComparisonReport:
     """Growth comparison of two metrics with ordered curvatures.
 
     First verifies the precondition K <= K_hat on the sampled radii (reported
@@ -65,7 +64,7 @@ def osserman_check(m: RotMetric, m_hat: RotMetric, rho_max: float,
     """
     if rho_max >= min(m.rho_max, m_hat.rho_max):
         raise DomainError("rho_max exceeds a metric's distance range")
-    rho = _samples(rho_max, n)
+    rho = _samples(rho_max)
 
     K = _curvature_at_geodesic_radii(m, rho)
     K_hat = _curvature_at_geodesic_radii(m_hat, rho)
@@ -91,12 +90,10 @@ def osserman_check(m: RotMetric, m_hat: RotMetric, rho_max: float,
         lhs=lhs,
         rhs=rhs,
         min_margin=float(np.min(margins)),
-        tolerance=tol,
     )
 
 
-def hessian_check(m: RotMetric, rho_max: float, bound: CurvatureBound,
-                  n: int = 200, tol: float = TOL) -> ComparisonReport:
+def hessian_check(m: RotMetric, rho_max: float, bound: CurvatureBound) -> ComparisonReport:
     """Support-function Hessian bound G_rho/G >= h_c under a curvature bound.
 
     The radial-radial Hessian entry of the distance function vanishes
@@ -108,7 +105,7 @@ def hessian_check(m: RotMetric, rho_max: float, bound: CurvatureBound,
         raise DomainError("rho_max exceeds the metric's distance range")
     if bound.sign == "positive" and rho_max >= bound.cap:
         raise DomainError("positive bound requires rho_max < pi/(2 kappa)")
-    rho = _samples(rho_max, n)
+    rho = _samples(rho_max)
 
     K = _curvature_at_geodesic_radii(m, rho)
     if np.any(K > bound.value + 1e-5):
@@ -129,5 +126,4 @@ def hessian_check(m: RotMetric, rho_max: float, bound: CurvatureBound,
         lhs={"normal_hessian_ratio": ratio},
         rhs={"model": model},
         min_margin=float(np.min(ratio - model)),
-        tolerance=tol,
     )

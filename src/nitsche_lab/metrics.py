@@ -42,8 +42,9 @@ _SIGNS = (NEGATIVE, ZERO, POSITIVE)
 class CurvatureBound:
     """Upper bound for the Gaussian curvature: -kappa^2, 0 or +kappa^2.
 
-    ``kappa`` must be a positive finite real (or numeric text) whenever ``sign``
-    is not ``"zero"``; it is ignored (and normalised to ``None``) for the zero bound.
+    ``kappa`` must be a positive finite real (or numeric text) whenever it is
+    given, and it must be given unless ``sign`` is ``"zero"``; the zero bound
+    normalises it to ``None``.
     """
 
     sign: str
@@ -52,17 +53,15 @@ class CurvatureBound:
     def __post_init__(self):
         if self.sign not in _SIGNS:
             raise DomainError(f"curvature sign must be one of {_SIGNS}, got {self.sign!r}")
-        if self.sign == ZERO:
-            object.__setattr__(self, "kappa", None)
-        else:
-            try:
-                kappa = float(self.kappa)
-            except (TypeError, ValueError):
-                kappa = math.nan
-            if not 0 < kappa < math.inf:
-                raise DomainError(f"kappa must be a positive finite real for a nonzero "
-                                  f"bound, got {self.kappa!r}")
-            object.__setattr__(self, "kappa", kappa)
+        if self.sign == ZERO and self.kappa is None:
+            return
+        try:
+            kappa = float(self.kappa)
+        except (TypeError, ValueError):
+            kappa = math.nan
+        if not 0 < kappa < math.inf:
+            raise DomainError(f"kappa must be a positive finite real, got {self.kappa!r}")
+        object.__setattr__(self, "kappa", None if self.sign == ZERO else kappa)
 
     @property
     def value(self) -> float:
@@ -137,7 +136,8 @@ def psi_small(bound: CurvatureBound, rho):
     if bound.sign == ZERO:
         out = rho.copy()
     elif bound.sign == NEGATIVE:
-        out = np.sinh(bound.kappa * rho) / bound.kappa
+        with np.errstate(over="ignore"):  # inf beyond kappa rho ~ 710
+            out = np.sinh(bound.kappa * rho) / bound.kappa
     else:
         out = np.sin(bound.kappa * rho) / bound.kappa
     return out if out.ndim else float(out)
@@ -168,7 +168,8 @@ def psi_sharp(bound: CurvatureBound, rho):
     if bound.sign == ZERO:
         out = rho.copy()
     elif bound.sign == NEGATIVE:
-        out = np.sinh(2 * bound.kappa * rho) / (2 * bound.kappa)
+        with np.errstate(over="ignore"):  # inf beyond kappa rho ~ 355
+            out = np.sinh(2 * bound.kappa * rho) / (2 * bound.kappa)
     else:
         out = np.sin(2 * bound.kappa * rho) / (2 * bound.kappa)
     return out if out.ndim else float(out)
@@ -336,9 +337,8 @@ def distance_table(density: Callable, s_max: float, n_knots: int):
     return PchipInterpolator(fine[::2], d_knots), PchipInterpolator(d_knots, fine[::2])
 
 
-def metric_from_profile(samples, bound: CurvatureBound | None = None,
-                        label: str = "profile") -> RotMetric:
-    """Build a metric from (s, h(s)) samples.
+def metric_from_profile(samples) -> RotMetric:
+    """Build a metric labelled ``"profile"``, with no bound, from (s, h(s)) samples.
 
     The density is interpolated by a monotone cubic (PCHIP); distance and
     inverse come from :func:`distance_table` on >= 1024 knots.  Non-numeric,
@@ -370,8 +370,7 @@ def metric_from_profile(samples, bound: CurvatureBound | None = None,
         domain_radius=s_max,
         rho_max=float(inverse.x[-1]),
         density_prime=density.derivative(),
-        bound=bound,
-        label=label,
+        label="profile",
     )
 
 
@@ -470,7 +469,7 @@ def load_metric(source) -> RotMetric:
     if kind == "constant":
         return constant_curvature_metric(CurvatureBound(spec["sign"], spec.get("kappa")))
     if kind == "profile":
-        return metric_from_profile(spec["samples"], label="profile")
+        return metric_from_profile(spec["samples"])
     from .weierstrass import surface_metric, catalog_surface
 
     return surface_metric(catalog_surface(spec["surface"]))

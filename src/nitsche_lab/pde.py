@@ -30,6 +30,9 @@ from .errors import DivergenceError, DomainError
 from .grid import AnnulusGrid, AnnulusMap, SolveInfo, d_phi, d_phi2, d_t, d_t2
 from .metrics import CurvatureBound, RotMetric, psi_sharp
 
+NEWTON_TOL = 1e-8  # max residual of the discrete 2-D system at convergence
+NEWTON_MAX_ITER = 50
+
 
 def _log_density_sq_w(m: RotMetric, w: np.ndarray) -> np.ndarray:
     """d/dw of log h(|w|)^2 = h'(|w|) conj(w) / (h(|w|) |w|)."""
@@ -152,9 +155,6 @@ class GreenChain:
     inner_flux: float
     sigma: float
 
-    def __iter__(self):
-        return iter((self.flux, self.area))
-
 
 def green_stations(f: AnnulusMap, sigmas):
     """Green chains at the half-node circles nearest each sigma, from one table.
@@ -218,8 +218,8 @@ def _damped_newton(residual, newton_step, x: np.ndarray, tol: float, max_iter: i
 
 
 def _radial_discrete_profile(m: RotMetric, rho1: float, rho2: float,
-                             t: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Solve the 1-D discrete two-point problem D_tt rho = rhs(rho) by Newton."""
+                             t: np.ndarray) -> np.ndarray:
+    """Solve the 1-D discrete two-point problem D_tt rho = rhs(rho) by Newton, to 1e-12."""
     h = t[1] - t[0]
 
     def residual(rho):  # None outside the metric range
@@ -234,7 +234,7 @@ def _radial_discrete_profile(m: RotMetric, rho1: float, rho2: float,
         return step
 
     rho = rho1 + (rho2 - rho1) * (t - t[0]) / (t[-1] - t[0])
-    return _damped_newton(residual, newton_step, rho, tol, 80)[0]
+    return _damped_newton(residual, newton_step, rho, 1e-12, 80)[0]
 
 
 def _system_residual(g: AnnulusGrid, m: RotMetric, rho: np.ndarray, u: np.ndarray):
@@ -279,15 +279,15 @@ def _assemble_jacobian(g: AnnulusGrid, m: RotMetric, rho: np.ndarray, u: np.ndar
 
 
 def solve_dirichlet(grid: AnnulusGrid, m: RotMetric, rho1: float, rho2: float,
-                    tol: float = 1e-8, max_iter: int = 50,
                     warm_start: bool = True) -> AnnulusMap:
     """Damped-Newton solution of the discrete map equation with symmetric data.
 
     Boundary data: rho = rho1 on |z| = r1, rho = rho2 on |z| = r2, and
     theta = arg z on both circles, admitted by :meth:`RotMetric.check_annulus`.
     Terminates when the max residual of the discrete system falls below
-    ``tol``; raises :class:`DivergenceError` at the first failed line search
-    or after ``max_iter`` steps.  The returned map carries a :class:`SolveInfo`.
+    ``NEWTON_TOL``; raises :class:`DivergenceError` at the first failed line
+    search or after ``NEWTON_MAX_ITER`` steps.  The returned map carries a
+    :class:`SolveInfo`.
 
     ``warm_start=True`` seeds Newton with the 1-D discrete radial solution
     (the exact answer for symmetric data); ``False`` starts from the linear
@@ -311,9 +311,9 @@ def solve_dirichlet(grid: AnnulusGrid, m: RotMetric, rho1: float, rho2: float,
                                      -F.ravel()).reshape(2, grid.n_r - 2, -1)
         return step
 
-    x, history, converged = _damped_newton(residual, newton_step, x, tol, max_iter)
+    x, history, converged = _damped_newton(residual, newton_step, x, NEWTON_TOL, NEWTON_MAX_ITER)
     if not converged:
-        raise DivergenceError(f"Newton stopped at residual {history[-1]:.3e} > {tol:.1e} "
+        raise DivergenceError(f"Newton stopped at residual {history[-1]:.3e} > {NEWTON_TOL:.1e} "
                               f"after {len(history) - 1} iterations")
     info = SolveInfo(True, len(history) - 1, history, "converged")
     return AnnulusMap(grid=grid, rho=x[0], theta=grid.mesh()[1] + x[1], metric=m, info=info)

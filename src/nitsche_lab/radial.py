@@ -179,15 +179,18 @@ def critical_outer(m: RotMetric, rho1: float, T: float,
                    n_steps: int = DEFAULT_STEPS) -> float:
     """Outer radius rho(T) of the zero-initial-slope trajectory.
 
-    Because the right-hand side is nonnegative on the admissible range this
-    is the smallest outer radius any monotone radial harmonic map of modulus
-    T can reach from rho1.  Flat case: rho1 cosh(T).
+    While G' > 0 the right-hand side G G' is positive, so this is the smallest
+    outer radius any monotone radial harmonic map of modulus T can reach from
+    rho1.  Flat case: rho1 cosh(T).  Raises DomainError where the trajectory
+    (one RK4 :func:`shoot` of ``n_steps``) leaves the metric range or meets
+    G' <= 0, where it may turn back, before T.
     """
     prof = shoot(m, rho1, 0.0, T, n_steps=n_steps, richardson=False)
     if prof.exited:
-        raise DomainError(
-            f"critical trajectory left the metric range at t = {prof.exit_time:.6g}"
-        )
+        raise DomainError(f"critical trajectory left the metric range at t = {prof.exit_time:.6g}")
+    turned = np.asarray(m.G_prime(prof.rho)) <= 0
+    if np.any(turned):
+        raise DomainError(f"critical trajectory met G' <= 0 at t = {prof.t_grid[turned][0]:.6g}")
     return prof.rho2
 
 
@@ -246,8 +249,8 @@ def modulus_of_slope(m: RotMetric, rho1: float, rho2: float, v0: float,
 class NoSolution:
     """Nonexistence of a monotone radial map: the critical modulus T(0) < Mod.
 
-    ``critical_outer`` is where the zero-slope trajectory ends at Mod, ``inf``
-    if it left the metric range or met G' <= 0 (where it may turn back) first.
+    ``critical_outer`` is :func:`critical_outer` at Mod, ``inf`` where that
+    raises DomainError.
     """
 
     rho1: float
@@ -258,29 +261,30 @@ class NoSolution:
 
 
 def solve_bvp(m: RotMetric, rho1: float, rho2: float, T: float,
-              n_steps: int = DEFAULT_STEPS, tol: float = QUAD_TOL):
+              n_steps: int = DEFAULT_STEPS):
     """Monotone radial solution with rho(0) = rho1, rho(T) = rho2, or NoSolution.
 
-    The inner slope is the root of T(v0) = T (:func:`modulus_of_slope`, ``tol``
-    its quadrature error) on the proven bracket [0, (rho2 - rho1)/T].
+    The inner slope is the root of T(v0) = T (:func:`modulus_of_slope`) on the
+    proven bracket [0, (rho2 - rho1)/T].
     :class:`NoSolution` comes exactly when T(0) < T; within a relative 1e-12
     of T(0) the slope is 0.  One RK4 :func:`shoot` of ``n_steps`` samples the
     profile, whose ``boundary_error`` is its miss at rho2.
     """
     if not 0 < T < math.inf:
         raise DomainError("modulus T must be positive and finite")
-    t_crit = modulus_of_slope(m, rho1, rho2, 0.0, tol)
+    t_crit = modulus_of_slope(m, rho1, rho2, 0.0)
     if t_crit < T * (1.0 - CRITICAL_RTOL):
-        crit = shoot(m, rho1, 0.0, T, n_steps=n_steps, richardson=False)
-        turned = crit.exited or np.any(m.G_prime(crit.rho) <= 0)
-        return NoSolution(rho1=rho1, rho2=rho2, modulus=T,
-                          critical_outer=math.inf if turned else crit.rho2,
+        try:
+            outer = critical_outer(m, rho1, T, n_steps)
+        except DomainError:
+            outer = math.inf
+        return NoSolution(rho1=rho1, rho2=rho2, modulus=T, critical_outer=outer,
                           reason=f"critical modulus T(0) = {t_crit:.10g} < Mod = {T:.10g}")
     slope = 0.0
     if t_crit > T * (1.0 + CRITICAL_RTOL):
         from scipy.optimize import brentq
 
-        slope = brentq(lambda v: modulus_of_slope(m, rho1, rho2, v, tol) - T,
+        slope = brentq(lambda v: modulus_of_slope(m, rho1, rho2, v) - T,
                        0.0, (rho2 - rho1) / T, xtol=_EPS, rtol=4 * _EPS)
     prof = shoot(m, rho1, slope, T, n_steps=n_steps)
     prof.boundary_error = abs(prof.rho2 - rho2)

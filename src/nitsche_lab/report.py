@@ -46,6 +46,7 @@ from .pde import green_stations, laplacian_bound_check, residual_norm, solve_dir
 from .radial import critical_modulus
 
 REPORT_TOL = 1e-6
+NEAR_CRITICAL_FRACTION = 0.3  # share of random_solved_cases drawn at the critical modulus
 
 
 @dataclass
@@ -157,21 +158,20 @@ def check_bound(bound: CurvatureBound, rho1: float, rho2: float, mod: float,
 def verify_end_to_end(metric: RotMetric, r1: float, r2: float,
                       rho1: float, rho2: float,
                       n_r: int = 128, n_theta: int = 128,
-                      bound: CurvatureBound | None = None,
                       tol: float = REPORT_TOL) -> BoundReport:
     """Solve the grid map and emit a bound report with all sub-checks attached.
 
+    The curvature bound is the metric's own, else :func:`infer_bound`.
     Orientation: if rho1 > rho2 the data asks the inner circle to hit the
     outer geodesic circle; the annulus inversion z -> r1 r2 / z reduces that
     to the normalised case, which for symmetric boundary data is just the
-    swapped pair.  The report fails if any sub-check fails.
+    swapped pair.  The report fails if any sub-check's ``ok`` is false.
     """
     swapped = False
     if rho1 > rho2:
         rho1, rho2 = rho2, rho1
         swapped = True
-    if bound is None:
-        bound = metric.bound if metric.bound is not None else infer_bound(metric)
+    bound = infer_bound(metric)
 
     grid = AnnulusGrid(r1, r2, n_r, n_theta)
     report = check_bound(bound, rho1, rho2, grid.modulus, tol=tol)
@@ -209,16 +209,13 @@ def verify_end_to_end(metric: RotMetric, r1: float, r2: float,
             "chain_margin_min": float(np.min(chain_margins)),
             "identity_ok": identity_ok,
             "chain_ok": chain_ok,
+            "ok": identity_ok and chain_ok,
         },
         "inner_normal_derivative": {"value": inner_slope, "ok": inner_slope >= -eps},
         "homeomorphism": {**diag, "ok": diag["winding_ok"] and not diag["degenerate"]},
     }
-    all_ok = all(
-        block.get("ok", block.get("identity_ok", True) and block.get("chain_ok", True))
-        for block in subchecks.values()
-    )
     report.subchecks = subchecks
-    report.passed = report.passed and all_ok
+    report.passed = report.passed and all(block["ok"] for block in subchecks.values())
     report.provenance.update(
         {
             "mode": "solved",
@@ -246,14 +243,13 @@ def verify_end_to_end(metric: RotMetric, r1: float, r2: float,
 
 
 def random_solved_cases(n_per_sign: int = 50, seed: int = 7,
-                        n_r: int = 128, n_theta: int = 128,
-                        near_critical_fraction: float = 0.3):
+                        n_r: int = 128, n_theta: int = 128):
     """Randomised solved grid cases, ``n_per_sign`` for each curvature sign.
 
-    Sampling is honest about criticality: a fixed fraction of the draws sit
-    exactly at the largest solvable modulus for their radii (where the bound
-    is tightest), the rest at a uniform fraction of it.  Yields
-    (case-dict, BoundReport) pairs.
+    Sampling is honest about criticality: the first ``NEAR_CRITICAL_FRACTION``
+    of each sign's draws sit exactly at the largest solvable modulus for their
+    radii (where the bound is tightest), the rest at a uniform fraction of it.
+    Yields (case-dict, BoundReport) pairs.
     """
     rng = np.random.default_rng(seed)
     cases = []
@@ -268,7 +264,7 @@ def random_solved_cases(n_per_sign: int = 50, seed: int = 7,
             rho1 = rng.uniform(0.3, 0.85) * rho2
             metric = constant_curvature_metric(bound)
             t_max = critical_modulus(metric, rho1, rho2, tol=1e-6, n_steps=1024)
-            near_critical = k < n_per_sign * near_critical_fraction
+            near_critical = k < n_per_sign * NEAR_CRITICAL_FRACTION
             beta = 1.0 if near_critical else rng.uniform(0.35, 0.98)
             T = beta * t_max
             report = verify_end_to_end(

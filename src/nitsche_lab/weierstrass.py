@@ -24,6 +24,7 @@ from .metrics import CurvatureBound, RotMetric, distance_table
 from .radial import rk4
 
 DISK_EDGE = 1.0 - 1e-6  # distances are computed up to this chart radius
+SURFACE_KNOTS = 4096  # distance-table knots of surface_metric
 
 
 @dataclass(frozen=True)
@@ -35,7 +36,6 @@ class WeierstrassData:
     h_prime: Callable
     g_prime2: Callable
     h_prime2: Callable
-    rotationally_symmetric: bool = True
 
 
 def _const(c):
@@ -95,12 +95,12 @@ def we_density(w: WeierstrassData, z):
     return out if out.ndim else float(out)
 
 
-def check_rotational_symmetry(w: WeierstrassData, n: int = 64, tol: float = 1e-10) -> bool:
-    """Verify the declared symmetry: density constant on circles to ``tol``."""
+def check_rotational_symmetry(w: WeierstrassData) -> bool:
+    """Rotational symmetry: density constant to 1e-10 at 64 angles on four circles."""
+    alphas = np.exp(2j * np.pi * np.arange(64) / 64)
     for s in (0.15, 0.4, 0.65, 0.9):
-        alphas = np.exp(2j * np.pi * np.arange(n) / n)
         vals = we_density(w, s * alphas)
-        if np.max(vals) - np.min(vals) > tol:
+        if np.max(vals) - np.min(vals) > 1e-10:
             return False
     return True
 
@@ -111,7 +111,7 @@ def we_distance_radial(w: WeierstrassData, s: float) -> float:
     Valid only for rotationally symmetric data (rays from the origin are
     geodesics by symmetry); adaptive quadrature of the radial density.
     """
-    if not (w.rotationally_symmetric and check_rotational_symmetry(w)):
+    if not check_rotational_symmetry(w):
         raise UnsupportedDataError(f"{w.name}: radial distances need rotational symmetry")
     if not 0 <= s <= DISK_EDGE:
         raise DomainError(f"need 0 <= s <= {DISK_EDGE}")
@@ -123,22 +123,22 @@ def we_distance_radial(w: WeierstrassData, s: float) -> float:
     return float(val)
 
 
-def surface_metric(w: WeierstrassData, n_knots: int = 4096) -> RotMetric:
+def surface_metric(w: WeierstrassData) -> RotMetric:
     """RotMetric of a rotationally symmetric catalog surface.
 
-    Distance and inverse from :func:`metrics.distance_table`, the inverse
-    polished with Newton steps on the analytic density.
-    The curvature of a non-planar surface is negative, so the natural
-    curvature bound is zero.
+    Distance and inverse from :func:`metrics.distance_table` on
+    ``SURFACE_KNOTS`` knots, the inverse polished with Newton steps on the
+    analytic density.  The curvature of a non-planar surface is negative, so
+    the natural curvature bound is zero.
     """
-    if not (w.rotationally_symmetric and check_rotational_symmetry(w)):
+    if not check_rotational_symmetry(w):
         raise UnsupportedDataError(f"{w.name}: metric shortcut needs rotational symmetry")
 
     def h(s):
         s = np.asarray(s, dtype=float)
         return np.abs(w.g_prime(s.astype(complex))) + np.abs(w.h_prime(s.astype(complex)))
 
-    dist_interp, inv_interp = distance_table(h, DISK_EDGE, n_knots)
+    dist_interp, inv_interp = distance_table(h, DISK_EDGE, SURFACE_KNOTS)
 
     def inverse(rho):
         rho_arr = np.asarray(rho, dtype=float)

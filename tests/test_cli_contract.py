@@ -8,6 +8,7 @@ malformed ones and add options that belong to other subcommands.
 
 import json
 import os
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -121,11 +122,17 @@ def test_options_only_where_they_are_read():
                  "--tol", "0.1", "--quiet"]) == 0
     assert main(["modulus", "--domain", "domain.json", "--quiet"]) == 4
     assert main(["modulus", "--domain", "circular", "0.5", "abc", "--quiet"]) == 4
-    assert main(["compare", "--metric", HYP, "--against", "constant:negative:garbage",
-                 "--rho-max", "1.0", "--quiet"]) == 4
+    # a given kappa is read for every sign, and dropped by the zero bound
+    for sign in ("negative", "zero"):
+        assert main(["compare", "--metric", HYP, "--against", f"constant:{sign}:garbage",
+                     "--rho-max", "1.0", "--quiet"]) == 4
+    assert main(["compare", "--metric", HYP, "--against", "constant:zero:1.0",
+                 "--rho-max", "1.0", "--quiet"]) == 0
+    assert main(["check-bound", "--sign", "zero", "--kappa", "1.0", "--rho1", "0.5",
+                 "--rho2", "1.0", "--mod", "0.5", "--quiet"]) == 0
 
 
-def test_extreme_numbers_keep_the_contract():
+def test_extreme_numbers_keep_the_contract(capsys):
     flat = ["--metric", FLAT, "--rho1", "0.8"]
     # NaN and infinite radii are invalid input
     assert main(["solve-radial", *flat, "--critical", "--mod", "1.0", "--steps", "16",
@@ -140,3 +147,11 @@ def test_extreme_numbers_keep_the_contract():
     # Mod^2 overflows to an infinite right-hand side, which the data violates
     assert main(["check-bound", "--sign", "zero", "--rho1", "0.5", "--rho2", "1.0",
                  "--mod", "1e308", "--quiet"]) == 2
+    # so does sinh(kappa rho1), silently
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["check-bound", "--sign", "negative", "--kappa", "1e300", "--rho1", "0.5",
+                     "--rho2", "1.0", "--mod", "1.0", "--quiet"]) == 2
+    assert capsys.readouterr().err == ""
+

@@ -112,6 +112,9 @@ def test_no_solution_on_the_sphere_names_t0_and_the_turned_trajectory():
         assert isinstance(out, nl.NoSolution)
         assert out.critical_outer == math.inf
         assert f"T(0) = {t0:.10g}" in out.reason and f"Mod = {mod:.10g}" in out.reason
+        with pytest.raises(nl.DomainError, match="G' <= 0"):
+            nl.critical_outer(SPH, 0.5, mod)
+    assert nl.critical_outer(SPH, 0.5, 2.0) < math.pi / 2
     # a trajectory that never reaches G' <= 0 keeps its finite end
     out = nl.solve_bvp(SPH, 0.3, 0.4, 1.0)
     assert isinstance(out, nl.NoSolution)

@@ -33,6 +33,11 @@ def test_curvature_bound_validation():
     with pytest.raises(DomainError):
         CurvatureBound("sideways", 1.0)
     assert CurvatureBound.zero().kappa is None
+    # a given kappa is read for every sign, then dropped by the zero bound
+    assert CurvatureBound("zero", "1.0").kappa is None
+    for kappa in ("garbage", -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="kappa must be a positive finite real"):
+            CurvatureBound("zero", kappa)
     assert CurvatureBound.negative(2.0).value == -4.0
     assert CurvatureBound.positive(2.0).cap == pytest.approx(math.pi / 4)
 
@@ -58,6 +63,9 @@ def test_psi_values():
     assert psi_big(POS, 1e-6) == pytest.approx(0.5, abs=1e-9)
     with pytest.raises(DomainError):
         psi_small(POS, 2.0)  # beyond the cap
+    # sinh overflow is an infinity without a RuntimeWarning
+    huge = CurvatureBound.negative(1e300)
+    assert psi_small(huge, 0.5) == psi_sharp(huge, 0.5) == psi_big(huge, 0.5) == math.inf
 
 
 def test_psi_consistency_and_ordering():

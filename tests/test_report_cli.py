@@ -92,17 +92,14 @@ def test_verify_end_to_end_flat_critical():
     rep = verify_end_to_end(FLAT, 0.5, 1.0, 0.8, 1.0, n_r=96, n_theta=96)
     assert rep.passed
     assert rep.margin == pytest.approx(0.00977349304089925, abs=1e-12)
-    assert all(
-        blk.get("ok", blk.get("identity_ok", True) and blk.get("chain_ok", True))
-        for blk in rep.subchecks.values()
-    )
+    assert all(blk["ok"] for blk in rep.subchecks.values())
 
 
 def test_verify_green_chain_summary():
     rep = verify_end_to_end(HYP, 1.0, 1.7, 0.5, 1.0, n_r=64, n_theta=64)
     blk = rep.subchecks["green_chain"]
     assert blk["stations"] == 8
-    assert blk["identity_ok"] and blk["chain_ok"]
+    assert blk["identity_ok"] and blk["chain_ok"] and blk["ok"] is True
     assert 0 <= blk["identity_gap_max"] <= 1e-6
     assert blk["chain_margin_min"] >= -2 * math.pi * rep.provenance["eps_grid"]
     json.dumps(rep.to_dict())
