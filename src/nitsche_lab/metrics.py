@@ -271,7 +271,7 @@ class RotMetric:
         h = 1e-5
         lo = np.maximum(np.asarray(rho, dtype=float) - h, 1e-300)
         hi = np.asarray(rho, dtype=float) + h
-        hi = np.minimum(hi, self.rho_max * (1 - 1e-12)) if np.isfinite(self.rho_max) else hi
+        hi = np.minimum(hi, self.rho_max * (1 - 1e-12))
         return (self.dG2(hi) - self.dG2(lo)) / (hi - lo)
 
 
@@ -280,15 +280,17 @@ def constant_curvature_metric(bound: CurvatureBound) -> RotMetric:
 
     Densities 2/(kappa (1 + s^2)), 1, 2/(kappa (1 - s^2)): distance profiles
     (2/kappa) atan, identity, (2/kappa) atanh; G(rho) = sin(kappa rho)/kappa,
-    rho, sinh(kappa rho)/kappa.
+    rho, sinh(kappa rho)/kappa.  Off the sphere, ``rho_max`` is the largest
+    radius where G, G', their squares and (G^2)' are finite floats.
     """
+    big = float(np.finfo(float).max)
     if bound.sign == ZERO:
         return RotMetric(
             density=lambda s: np.ones_like(np.asarray(s, dtype=float)),
             distance=lambda s: np.asarray(s, dtype=float),
             inverse_distance=lambda rho: np.asarray(rho, dtype=float),
             domain_radius=math.inf,
-            rho_max=math.inf,
+            rho_max=math.sqrt(big),
             density_prime=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
             g_analytic=lambda rho: np.asarray(rho, dtype=float),
             g_prime_analytic=lambda rho: np.ones_like(np.asarray(rho, dtype=float)),
@@ -302,7 +304,8 @@ def constant_curvature_metric(bound: CurvatureBound) -> RotMetric:
             distance=lambda s: 2.0 / k * np.arctanh(np.asarray(s, dtype=float)),
             inverse_distance=lambda rho: np.tanh(k * np.asarray(rho, dtype=float) / 2.0),
             domain_radius=1.0,
-            rho_max=math.inf,
+            rho_max=min(math.acosh(math.sqrt(big)), math.asinh(math.sqrt(big) * k),
+                        math.asinh(min(big * k, big)) / 2) / k,
             density_prime=lambda s: 4.0 * np.asarray(s, dtype=float)
             / (k * (1.0 - np.asarray(s, dtype=float) ** 2) ** 2),
             g_analytic=lambda rho: np.sinh(k * np.asarray(rho, dtype=float)) / k,

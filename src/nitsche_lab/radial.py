@@ -11,10 +11,10 @@ a metric with angular coefficient ``G`` reduces, in the log-radius variable
 because the planar Laplacian of a radial function is ``e^{-2t} rho_tt`` and
 ``|grad arg z|^2 = e^{-2t}``.  The equation conserves ``rho_t^2 - G(rho)^2``,
 so the modulus T(v0) at which the trajectory from (rho1, v0) reaches rho2 is
-one quadrature: the critical modulus is T(0), and the boundary problem is the
-root of T(v0) = T.  RK4 (with a half-step Richardson cross-check) only samples
-trajectories.  The classical closed-form radial maps between Euclidean annuli
-serve as oracles for everything else.
+one quadrature: the critical modulus is T(0), the boundary problem is the
+root of T(v0) = T, and its profile is that quadrature inverted.  RK4 (with a
+half-step Richardson cross-check) runs only where a trajectory is asked for;
+the classical closed-form radial maps between Euclidean annuli are oracles.
 """
 
 from __future__ import annotations
@@ -34,7 +34,11 @@ CRITICAL_RTOL = 1e-12  # relative band around T(0) where the inner slope is 0
 _NEAR_ZONE = 1e-3  # G - G(rho1) from G' within this fraction of G1/G1' of rho1
 _MAX_PANELS = 1 << 13
 _EPS = float(np.finfo(float).eps)
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(32)
+_LEG = np.polynomial.legendre
+_GL_X, _GL_W = _LEG.leggauss(32)
+# Gauss values on a panel -> its Legendre coefficients (exact below degree 32)
+_GL_TO_LEG = _LEG.legvander(_GL_X, 31) * (_GL_W[:, None] * (np.arange(32) + 0.5))
+_TABLE_S = np.linspace(0.0, 1.0, 257)  # Newton start table on each panel
 _GL4_S, _GL4_W = np.polynomial.legendre.leggauss(4)
 _GL4_S, _GL4_W = 0.5 * (_GL4_S + 1.0), 0.5 * _GL4_W  # on [0, 1]
 
@@ -68,9 +72,9 @@ def _scalar_rhs(m: RotMetric):
 class RadialProfile:
     """A sampled radial trajectory rho(t) over t in [0, T].
 
-    ``residual`` is the maximum discrepancy between the trajectory and an
-    independent half-step integration (Richardson cross-check); ``exited``
-    flags truncation at the metric's valid range, with the exit time.
+    ``residual`` estimates the error in rho: the gap to a half-step re-run for
+    :func:`shoot`, the inversion error max |t(sigma_k) - t_k| rho'(t_k) for
+    :func:`solve_bvp`; ``exited`` flags truncation at the range, with its time.
     """
 
     t_grid: np.ndarray
@@ -109,9 +113,6 @@ class RadialProfile:
         return self._spline(t)
 
 
-_RHO_CEILING = 300.0  # keeps sinh/cosh of runaway trajectories finite
-
-
 def rk4(acc, y, v, h: float, n: int, inside):
     """Classical RK4 for y'' = acc(y, y') from (y, v): ``n`` steps of size h.
 
@@ -140,7 +141,7 @@ def rk4(acc, y, v, h: float, n: int, inside):
 def _radial_rk4(rhs, rho1: float, slope0: float, T: float, n: int, rho_max: float):
     """RK4 samples (t, rho, slope, exit time or None) of rho'' = rhs(rho) on [0, T]."""
     h = T / n
-    safe_hi = rho_max * (1 - 1e-12) if math.isfinite(rho_max) else _RHO_CEILING
+    safe_hi = rho_max * (1 - 1e-12)
     ys, vs, exited = rk4(lambda y, _: rhs(min(max(y, 0.0), safe_hi)), float(rho1), float(slope0),
                          h, n, lambda y: 0.0 <= y < safe_hi)
     m = len(ys) - 1
@@ -152,8 +153,7 @@ def shoot(m: RotMetric, rho1: float, slope0: float, T: float,
     """Integrate the radial equation from (rho1, slope0) over [0, T].
 
     Returns the RK4 trajectory on ``n_steps + 1`` nodes.  If the trajectory
-    leaves the metric's valid range (or blows past the overflow guard at
-    radius 300 on unbounded metrics) it is truncated and flagged.  With
+    leaves the metric's valid range it is truncated and flagged.  With
     ``richardson=True`` the equation is re-integrated at half the step and
     the maximum disagreement on shared nodes is stored as the residual.
     """
@@ -208,6 +208,11 @@ def modulus_of_slope(m: RotMetric, rho1: float, rho2: float, v0: float,
     :meth:`RotMetric.check_annulus`; DomainError where the radicand
     v0^2 + G^2 - G1^2 <= 0, where the trajectory would turn back.
     """
+    return _quadrature(m, rho1, rho2, v0, tol)[0]
+
+
+def _quadrature(m: RotMetric, rho1: float, rho2: float, v0: float, tol: float = QUAD_TOL):
+    """T(v0), its panel count, dt/dsigma on its nodes, sigma -> (rho, exact slope)."""
     if not 0 <= v0 < math.inf:
         raise DomainError("need a finite slope v0 >= 0")
     m.check_annulus(rho1, rho2)
@@ -216,7 +221,7 @@ def modulus_of_slope(m: RotMetric, rho1: float, rho2: float, v0: float,
     near_u = _NEAR_ZONE * 2.0 * g1 * g1 / q0  # a fraction of the length G1/G1'
     tau_max = q0 * (rho2 - rho1) / (math.sqrt(v0 * v0 + q0 * (rho2 - rho1)) + v0)
 
-    def integrand(tau):
+    def rho_radicand(tau):
         u = tau * (tau + 2.0 * v0) / q0
         rho = rho1 + u
         diff = np.asarray(m.G(rho), dtype=float) - g1
@@ -226,7 +231,14 @@ def modulus_of_slope(m: RotMetric, rho1: float, rho2: float, v0: float,
             # difference loses all its digits as u -> 0
             un = u[near]
             diff[near] = un * (np.asarray(m.G_prime(rho1 + un[:, None] * _GL4_S)) @ _GL4_W)
-        radicand = v0 * v0 + diff * (diff + 2.0 * g1)
+        return rho, v0 * v0 + diff * (diff + 2.0 * g1)
+
+    def rho_slope(sigma):
+        rho, radicand = rho_radicand(tau_max * sigma * sigma)
+        return rho, np.sqrt(radicand)
+
+    def integrand(tau):
+        rho, radicand = rho_radicand(tau)
         if np.any(radicand <= 0):
             raise DomainError(f"(v0^2 + G({rho[radicand <= 0][0]:.6g})^2) <= G(rho1)^2: the "
                               f"trajectory from rho1 = {rho1:.6g} with slope v0 = {v0:.6g} "
@@ -240,9 +252,55 @@ def modulus_of_slope(m: RotMetric, rho1: float, rho2: float, v0: float,
         vals = integrand(tau_max * sigma * sigma) * (2.0 * tau_max * sigma)
         total = 0.5 * h * float(np.sum(vals.reshape(panels, -1) @ _GL_W))
         if abs(total - prev) <= max(tol, 64 * _EPS * abs(total)):
-            return total
+            return total, panels, vals, rho_slope
         prev, panels = total, 2 * panels
     raise DivergenceError(f"T(v0) quadrature did not settle to {tol:g} on {_MAX_PANELS} panels")
+
+
+def _sample(quad, n: int):
+    """rho, slope and inversion error at t_k = k T(v0)/n: Newton in sigma from a 257-point
+    table per panel, on the exact integral t(sigma) of each panel's series of dt/dsigma."""
+    _, p, dt_dsigma, rho_slope = quad
+    dt_dx = (dt_dsigma.reshape(p, -1) @ _GL_TO_LEG).T * (0.5 / p)  # x in [-1, 1]
+    t_x = _LEG.legint(dt_dx, lbnd=-1)
+    start = np.concatenate([[0.0], np.cumsum(2.0 * dt_dx[0])])
+
+    def t_of(sigma):
+        k = np.minimum((sigma * p).astype(int), p - 1)
+        x = 2.0 * (sigma * p - k) - 1.0
+        return (start[k] + _LEG.legval(x, t_x[:, k], tensor=False),
+                _LEG.legval(x, dt_dx[:, k], tensor=False) * (2.0 * p))
+
+    target = np.arange(1, n) * (start[-1] / n)
+    table = start[:-1, None] + _LEG.legval(2.0 * _TABLE_S - 1.0, t_x)
+    sigma = np.interp(target, table.ravel(), ((np.arange(p)[:, None] + _TABLE_S) / p).ravel())
+    for sweep in range(8):
+        t, dt = t_of(sigma)
+        if sweep == 7 or np.max(np.abs(t - target), initial=0.0) <= 4 * _EPS * start[-1]:
+            break
+        sigma = sigma - (t - target) / dt
+    rho, slope = rho_slope(np.concatenate([[0.0], sigma, [1.0]]))
+    return rho, slope, float(np.max(np.abs(t - target) * slope[1:-1], initial=0.0))
+
+
+def _falling_root(f, f0: float, hi: float) -> float:
+    """Root of a decreasing f with f(0) = f0 > 0 > f(hi): regula falsi with the
+    Anderson-Bjorck rescale of ``fa`` (``f_a`` stays f(a)), stopped as brentq
+    stops (xtol = eps, rtol = 4 eps) at the end with the smaller |f|."""
+    a, fa, f_a, b, fb = 0.0, f0, f0, hi, f(hi)
+    for _ in range(100):  # brentq's maxiter
+        tol = _EPS + 4.0 * _EPS * abs(b)
+        if fb == 0.0 or abs(b - a) < tol:
+            return b if abs(fb) <= abs(f_a) else a
+        c = b - fb * (b - a) / (fb - fa)
+        c = min(max(c, min(a, b) + tol / 2), max(a, b) - tol / 2)  # brentq's least step
+        fc = f(c)
+        if (fc > 0) == (fb > 0):
+            fa *= (1.0 - fc / fb) if fc / fb < 1.0 else 0.5
+        else:
+            a, fa, f_a = b, fb, fb
+        b, fb = c, fc
+    raise DivergenceError("slope root did not settle in 100 iterations")
 
 
 @dataclass(frozen=True)
@@ -265,13 +323,13 @@ def solve_bvp(m: RotMetric, rho1: float, rho2: float, T: float,
     """Monotone radial solution with rho(0) = rho1, rho(T) = rho2, or NoSolution.
 
     The inner slope is the root of T(v0) = T (:func:`modulus_of_slope`) on the
-    proven bracket [0, (rho2 - rho1)/T].
+    proven bracket [0, (rho2 - rho1)/T], where T(v0) - T is strictly decreasing.
     :class:`NoSolution` comes exactly when T(0) < T; within a relative 1e-12
-    of T(0) the slope is 0.  One RK4 :func:`shoot` of ``n_steps`` samples the
-    profile, whose ``boundary_error`` is its miss at rho2.
+    of T(0) the slope is 0.  The profile inverts the quadrature at t_k T(v0)/T on
+    ``n_steps + 1`` equal nodes t_k, with the exact slope; ``boundary_error`` is its miss at rho2.
     """
-    if not 0 < T < math.inf:
-        raise DomainError("modulus T must be positive and finite")
+    if not (0 < T < math.inf and n_steps >= 1):
+        raise DomainError("need a positive finite modulus T and n_steps >= 1")
     t_crit = modulus_of_slope(m, rho1, rho2, 0.0)
     if t_crit < T * (1.0 - CRITICAL_RTOL):
         try:
@@ -282,13 +340,12 @@ def solve_bvp(m: RotMetric, rho1: float, rho2: float, T: float,
                           reason=f"critical modulus T(0) = {t_crit:.10g} < Mod = {T:.10g}")
     slope = 0.0
     if t_crit > T * (1.0 + CRITICAL_RTOL):
-        from scipy.optimize import brentq
-
-        slope = brentq(lambda v: modulus_of_slope(m, rho1, rho2, v) - T,
-                       0.0, (rho2 - rho1) / T, xtol=_EPS, rtol=4 * _EPS)
-    prof = shoot(m, rho1, slope, T, n_steps=n_steps)
-    prof.boundary_error = abs(prof.rho2 - rho2)
-    return prof
+        slope = _falling_root(lambda v: modulus_of_slope(m, rho1, rho2, v) - T,
+                              t_crit - T, (rho2 - rho1) / T)
+    rho, slopes, residual = _sample(_quadrature(m, rho1, rho2, slope), n_steps)
+    return RadialProfile(t_grid=np.linspace(0.0, T, n_steps + 1), rho=rho, slope=slopes,
+                         slope0=float(slope), residual=residual, metric=m,
+                         boundary_error=abs(float(rho[-1]) - rho2))
 
 
 def critical_modulus(m: RotMetric, rho1: float, rho2: float,

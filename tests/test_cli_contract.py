@@ -140,10 +140,21 @@ def test_extreme_numbers_keep_the_contract(capsys):
     assert main(["solve-map", *flat, "--rho2", "1.0", "--r1", "0.5", "--r2", "inf",
                  "--nr", "16", "--ntheta", "32", "--quiet"]) == 4
     assert main(["modulus", "--domain", "circular", "0.5", "inf", "--n", "16", "--quiet"]) == 4
-    # finite data whose squares overflow: Newton stops at an infinite residual
-    with pytest.warns(RuntimeWarning, match="overflow|invalid value"):
+    # finite data whose squares overflow lies past the distance range, and is
+    # refused before any arithmetic overflows
+    hyp = json.dumps({"kind": "constant", "sign": "negative", "kappa": 1e300})
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert main(["solve-map", *flat, "--rho2", "1e308", "--r1", "0.5", "--r2", "1.0",
-                     "--nr", "16", "--ntheta", "32", "--quiet"]) == 3
+                     "--nr", "16", "--ntheta", "32", "--quiet"]) == 4
+        assert main(["solve-radial", "--metric", hyp, "--rho1", "0.5", "--rho2", "1.0",
+                     "--mod", "0.5", "--quiet"]) == 4
+        assert main(["verify", "--metric", hyp, "--rho1", "0.5", "--rho2", "1.0", "--r1", "1",
+                     "--r2", "1.5", "--nr", "16", "--ntheta", "32", "--quiet"]) == 4
+    err = capsys.readouterr().err
+    assert "distance range [0, 1.34078e+154) of flat" in err
+    assert err.count("distance range [0, 3.55238e-298)") == 2
     # Mod^2 overflows to an infinite right-hand side, which the data violates
     assert main(["check-bound", "--sign", "zero", "--rho1", "0.5", "--rho2", "1.0",
                  "--mod", "1e308", "--quiet"]) == 2

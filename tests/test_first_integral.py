@@ -3,7 +3,8 @@
 The radial equation conserves rho'^2 - G(rho)^2, so the modulus reached from
 (rho1, v0) is T(v0) = int d rho / sqrt(v0^2 + G^2 - G(rho1)^2).  These tests
 check that quadrature against mpmath at 30 digits, the flat closed form, and
-RK4 shooting, and check the domain gate and the import footprint.
+RK4 shooting, check the profiles that solve_bvp samples from it, and check
+the domain gate and the import footprint.
 """
 
 import math
@@ -25,6 +26,14 @@ from nitsche_lab.cli import main
 FLAT = nl.constant_curvature_metric(nl.CurvatureBound.zero())
 HYP = nl.constant_curvature_metric(nl.CurvatureBound.negative(1.0))
 SPH = nl.constant_curvature_metric(nl.CurvatureBound.positive(1.0))
+ENNEPER = nl.surface_metric(nl.catalog_surface("enneper"))
+EPS = float(np.finfo(float).eps)
+# G^2 - G(rho1)^2 as D(k (rho + rho1)) D(k (rho - rho1)) / k^2 on the unit models
+MODEL_RADICAND = {"flat": lambda r, r1: (r + r1) * (r - r1),
+                  HYP.label: lambda r, r1: np.sinh(r + r1) * np.sinh(r - r1),
+                  SPH.label: lambda r, r1: np.sin(r + r1) * np.sin(r - r1)}
+PROFILE_CASES = [(FLAT, 0.8, 1.0), (HYP, 0.5, 1.4), (SPH, 0.3, 1.2), (ENNEPER, 0.4, 1.1)]
+BETAS = [1.0, 1.0 - 1e-9, 0.9, 0.35, 0.05]  # Mod as a fraction of T(0)
 
 
 def _critical_modulus_mp(sign, kappa, rho1, rho2):
@@ -132,7 +141,7 @@ def test_enneper_critical_modulus_lands_zero_slope_shot_on_rho2():
     assert abs(prof.rho2 - 1.1) <= 1e-9
 
 
-def test_solve_bvp_shoots_once_and_critical_modulus_never(monkeypatch):
+def test_solve_bvp_never_shoots_and_no_solution_shoots_once(monkeypatch):
     calls = []
     real = radial.shoot
 
@@ -141,11 +150,76 @@ def test_solve_bvp_shoots_once_and_critical_modulus_never(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(radial, "shoot", counting)
-    nl.critical_modulus(HYP, 0.5, 1.4)
+    t0 = nl.critical_modulus(HYP, 0.5, 1.4)
+    for mod in (0.5, t0):
+        sol = nl.solve_bvp(HYP, 0.5, 1.4, mod, n_steps=256)
+        assert sol.boundary_error < 1e-12
     assert not calls
-    sol = nl.solve_bvp(HYP, 0.5, 1.4, 0.5, n_steps=256)
+    # a NoSolution shoots once, for its critical_outer
+    assert isinstance(nl.solve_bvp(HYP, 0.5, 1.4, 2 * t0, n_steps=256), nl.NoSolution)
     assert len(calls) == 1
-    assert sol.boundary_error < 1e-9
+
+
+@pytest.mark.parametrize("beta", BETAS)
+@pytest.mark.parametrize("m, rho1, rho2", PROFILE_CASES, ids=lambda x: getattr(x, "label", ""))
+def test_solve_bvp_profile_matches_rk4_and_the_first_integral(m, rho1, rho2, beta):
+    T = beta * nl.critical_modulus(m, rho1, rho2)
+    sol = nl.solve_bvp(m, rho1, rho2, T)
+    assert sol.t_grid[-1] == T and len(sol.rho) == radial.DEFAULT_STEPS + 1
+    ref = nl.shoot(m, rho1, sol.slope0, T, radial.DEFAULT_STEPS, richardson=False)
+    assert not ref.exited
+    assert np.max(np.abs(sol.rho - ref.rho)) <= 1e-9
+    assert sol.boundary_error <= 1e-12 and sol.residual <= 1e-12 and sol.is_monotone
+    if m is ENNEPER:  # squared, as no closed form of G^2 - G1^2 is at hand
+        g, g1 = np.asarray(m.G(sol.rho)), float(m.G(rho1))
+        want = sol.slope0**2 + (g - g1) * (g + g1)
+        assert np.max(np.abs(sol.slope**2 - want)) <= 1e-12
+    else:
+        want = np.sqrt(sol.slope0**2 + MODEL_RADICAND[m.label](sol.rho, rho1))
+        assert np.max(np.abs(sol.slope - want)) <= 1e-12
+    if beta < 1.0:
+        from scipy.optimize import brentq
+
+        root = brentq(lambda v: nl.modulus_of_slope(m, rho1, rho2, v) - T, 0.0,
+                      (rho2 - rho1) / T, xtol=EPS, rtol=4 * EPS)
+        assert abs(sol.slope0 - root) <= max(4 * EPS * root, 1e-15)
+
+
+@pytest.mark.parametrize("beta", BETAS)
+def test_flat_profile_is_the_closed_form(beta):
+    for rho1, rho2 in ((0.8, 1.0), (0.3, 1.7)):
+        T = beta * math.acosh(rho2 / rho1)
+        sol = nl.solve_bvp(FLAT, rho1, rho2, T, n_steps=512)
+        t, v0 = sol.t_grid, sol.slope0
+        assert np.max(np.abs(sol.rho - (rho1 * np.cosh(t) + v0 * np.sinh(t)))) <= 1e-13
+        assert np.max(np.abs(sol.slope - (rho1 * np.sinh(t) + v0 * np.cosh(t)))) <= 1e-12
+        # the spline through the new nodes, and its embedding on a grid
+        ts = np.linspace(0.0, T, 37)
+        exact = rho1 * np.cosh(ts) + v0 * np.sinh(ts)
+        assert np.max(np.abs(sol.rho_at(ts) - exact)) <= 1e-10
+        grid = nl.AnnulusGrid(1.0, math.exp(T), 17, 32)
+        f = nl.embed_radial_profile(grid, sol)
+        t_grid = grid.t - math.log(grid.r1)
+        assert np.max(np.abs(f.rho - (rho1 * np.cosh(t_grid) + v0 * np.sinh(t_grid))[:, None])) \
+            <= 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sign=st.sampled_from(["zero", "negative", "positive"]),
+    kappa=st.floats(0.6, 1.4),
+    outer=st.floats(0.05, 0.99),
+    inner=st.floats(0.02, 0.98),
+    beta=st.floats(0.05, 1.0),
+)
+def test_solve_bvp_slope_reaches_the_modulus(sign, kappa, outer, inner, beta):
+    bound = nl.CurvatureBound(sign, None if sign == "zero" else kappa)
+    m = nl.constant_curvature_metric(bound)
+    rho2 = outer * (bound.cap if math.isfinite(bound.cap) else 2.2)
+    rho1 = inner * rho2
+    T = beta * nl.critical_modulus(m, rho1, rho2)
+    sol = nl.solve_bvp(m, rho1, rho2, T, n_steps=16)
+    assert nl.modulus_of_slope(m, rho1, rho2, sol.slope0) == pytest.approx(T, rel=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -193,15 +267,21 @@ def test_cli_rejects_past_cap_and_infinite_modulus():
 
 
 def test_import_leaves_scipy_solvers_unloaded():
+    # and so does a solve-radial run, which needs neither a root finder nor a spline
     code = ("import sys, nitsche_lab; "
             "print([m for m in ('scipy.interpolate', 'scipy.integrate', 'scipy.optimize') "
-            "if m in sys.modules])")
+            "if m in sys.modules]); "
+            "from nitsche_lab.cli import main; "
+            "code = main(['solve-radial', '--metric', '{\"kind\": \"constant\", "
+            "\"sign\": \"negative\", \"kappa\": 1.0}', '--rho1', '0.5', '--rho2', '1.4', "
+            "'--mod', '0.5', '--quiet']); "
+            "print(code, [m for m in ('scipy.interpolate', 'scipy.optimize') if m in sys.modules])")
     src = str(Path(nl.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines() == ["[]", "0 []"]
 
 
 def test_modulus_of_slope_past_a_maximum_of_G():

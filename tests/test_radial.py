@@ -80,6 +80,16 @@ def test_shoot_flags_a_last_step_past_the_range():
     assert critical_outer(enneper, 0.5, 1.2, n_steps=8) < enneper.rho_max
 
 
+def test_runaway_shots_exit_at_the_float_range():
+    # on the unbounded models the range ends where G, G' and their squares
+    # stop being finite floats, so a runaway shot exits there without overflow
+    assert FLAT.rho_max == math.sqrt(np.finfo(float).max)
+    assert HYP.rho_max == pytest.approx(355.2379, abs=1e-4)
+    for m in (FLAT, HYP):
+        prof = shoot(m, 1.0, 1.0, 1000.0)
+        assert prof.exited and prof.rho[-2] < m.rho_max <= prof.rho[-1]
+
+
 def test_solve_bvp_critical_pair():
     sol = solve_bvp(FLAT, 0.8, 1.0, math.log(2))
     assert not isinstance(sol, NoSolution)
