@@ -6,10 +6,11 @@ For the circular annulus the modulus is log(r2/r1).  For a general discrete
 doubly connected region it is computed through the capacity
 characterisation: solve the Laplace problem with values 0 and 1 on the two
 boundary loops and return 2 pi divided by the Dirichlet energy.  The Laplace
-solve uses the 5-point stencil on the log-polar chart (where the energy is
-conformally invariant) and conjugate gradients from the linear profile in t
-between the loops, exact when every grid row has one role (rotationally
-symmetric masks); the energy uses midpoint quadrature on cells.
+solve applies the masked 5-point stencil on the log-polar chart (where the
+energy is conformally invariant) matrix-free, by gathering each unknown's four
+neighbours, and runs conjugate gradients from the linear profile in t between
+the loops, exact when every grid row has one role (rotationally symmetric
+masks); the energy uses midpoint quadrature on cells.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import DivergenceError, DomainError, MaskError
@@ -58,6 +58,12 @@ class MaskedPolarDomain:
     roles: np.ndarray
 
     def __post_init__(self):
+        t = np.asarray(self.t, dtype=float)
+        step = np.diff(t) if t.ndim == 1 and len(t) > 1 else np.array([np.nan])
+        if not (np.isfinite(t).all() and (step > 0).all() and np.ptp(step) <= 1e-9 * step.mean()):
+            raise MaskError("t must be 1-D, finite, strictly increasing and uniformly spaced")
+        if not np.isin(self.roles, (INTERIOR, INNER, OUTER, OUTSIDE)).all():
+            raise MaskError("role codes must be INTERIOR, INNER, OUTER or OUTSIDE")
         if self.roles.shape != (len(self.t), self.n_theta):
             raise MaskError("roles array must be (n_t, n_theta)")
         inner = self.roles == INNER
@@ -81,10 +87,7 @@ class MaskedPolarDomain:
 
     def inverted(self) -> "MaskedPolarDomain":
         """Image under z -> c/z (radii reflected, boundary roles swapped)."""
-        roles = self.roles[::-1].copy()
-        swap = roles.copy()
-        swap[roles == INNER] = OUTER
-        swap[roles == OUTER] = INNER
+        swap = np.array([INTERIOR, OUTER, INNER, OUTSIDE], self.roles.dtype)[self.roles[::-1]]
         return MaskedPolarDomain(t=(-self.t[::-1]).copy(), n_theta=self.n_theta, roles=swap)
 
 
@@ -137,6 +140,8 @@ def masked_geodesic_annulus(m: RotMetric, rho1: float, rho2: float,
 def _laplace_solve(d: MaskedPolarDomain) -> np.ndarray:
     """5-point Laplace solve on the mask; returns the full potential field (NaN outside).
 
+    The operator is matrix-free: each unknown gathers its four neighbours from
+    the iterate padded by one zero slot, which every non-unknown neighbour reads.
     CG starts from clip((t - t_a)/(t_b - t_a), 0, 1), t_a the highest inner and
     t_b the lowest outer node: exact, so accepted as is, when rows have one role.
     """
@@ -148,34 +153,28 @@ def _laplace_solve(d: MaskedPolarDomain) -> np.ndarray:
         raise MaskError("mask has no interior nodes")
     # one OUTSIDE row beyond each end, so a row shift stays in the array
     roles = np.pad(d.roles, ((1, 1), (0, 0)), constant_values=OUTSIDE)
-    index = np.full(roles.shape, -1, dtype=np.int64)
+    index = np.full(roles.shape, N, dtype=np.int64)
     index[1:-1][unknown] = np.arange(N)
 
     def neighbour(a, di, dj):
         return np.roll(a[1 + di : 1 + di + nT], -dj, axis=1)[unknown]
 
     steps = ((1, 0, w_t), (-1, 0, w_t), (0, 1, w_p), (0, -1, w_p))
-    cols, b = [np.arange(N)], np.zeros(N)
+    nbrs, b = [], np.zeros(N)
     for di, dj, w in steps:
         role = neighbour(roles, di, dj)
         if np.any(role == OUTSIDE):
             raise MaskError("an interior node touches the outside; mask is not closed")
-        cols.append(neighbour(index, di, dj))
+        nbrs.append(neighbour(index, di, dj))
         b += w * (role == OUTER)
-    # row k of A is the center and its unknown neighbours, in that order
-    cols = np.stack(cols, axis=1)
-    keep = cols >= 0
-    weights = np.broadcast_to([2 * w_t + 2 * w_p] + [-w for _, _, w in steps], cols.shape)
-    A = sp.csr_matrix((weights[keep], cols[keep], np.r_[0, np.cumsum(keep.sum(axis=1))]),
-                      shape=(N, N))
+    nbrs, weights = np.stack(nbrs), np.array([w for _, _, w in steps])
+    A = spla.LinearOperator((N, N), dtype=float, matvec=lambda x: (
+        (2 * w_t + 2 * w_p) * x - weights @ np.append(x, 0.0)[nbrs]))
 
     t = np.broadcast_to(d.t[:, None], (nT, nP))
     t_a, t_b = t[d.roles == INNER].max(), t[d.roles == OUTER].min()
     x0 = np.clip((t[unknown] - t_a) / (t_b - t_a), 0.0, 1.0) if t_b > t_a else np.zeros(N)
-    try:
-        x, info = spla.cg(A, b, x0=x0, rtol=1e-10, atol=0.0, maxiter=40 * max(nT, nP))
-    except TypeError:  # older scipy spelling
-        x, info = spla.cg(A, b, x0=x0, tol=1e-10, atol=0.0, maxiter=40 * max(nT, nP))
+    x, info = spla.cg(A, b, x0=x0, rtol=1e-10, atol=0.0, maxiter=40 * max(nT, nP))
     if info != 0:
         raise DivergenceError(f"capacity CG did not converge (info={info})")
     u = np.select([d.roles == INNER, d.roles == OUTER], [0.0, 1.0], np.nan)

@@ -139,8 +139,8 @@ def test_row_masks_are_solved_by_the_start(monkeypatch, n):
     assert iterations == [0, 0, 0, 0]
 
 
-def _reference_potential(d):
-    """Explicit-loop 5-point assembly solved directly by spsolve."""
+def _reference_system(d):
+    """Explicit-loop 5-point assembly: the matrix, right-hand side and interior nodes."""
     nT, nP = d.roles.shape
     wt, wp = 1 / d.h_t**2, 1 / d.h_phi**2
     nodes = [(i, j) for i in range(nT) for j in range(nP) if d.roles[i, j] == INTERIOR]
@@ -156,7 +156,13 @@ def _reference_potential(d):
                 A[k, number[i2, j2]] -= w
             elif d.roles[i2, j2] == OUTER:
                 b[k] += w
-    x = spla.spsolve(A.tocsr(), b)
+    return A.tocsr(), b, nodes
+
+
+def _reference_potential(d):
+    """The explicit-loop system solved directly by spsolve."""
+    A, b, nodes = _reference_system(d)
+    x = spla.spsolve(A, b)
     u = np.where(d.roles == OUTER, 1.0, np.where(d.roles == INNER, 0.0, np.nan))
     for k, node in enumerate(nodes):
         u[node] = x[k]
@@ -179,15 +185,24 @@ def _overlapping_rows_mask(n, dip):
     lambda n: _overlapping_rows_mask(n, 10),
     lambda n: _overlapping_rows_mask(n, 14),
 ], ids=["eccentric", "inner-above-outer", "inner-level-with-outer"])
-def test_capacity_matches_direct_reference(mask):
+def test_capacity_matches_direct_reference(mask, monkeypatch):
     d = mask(32)
     u_ref = _reference_potential(d)
+    systems, cg = [], spla.cg
+    monkeypatch.setattr(spla, "cg", lambda A, b, **kw: systems.append((A, b)) or cg(A, b, **kw))
     u = _laplace_solve(d)
     assert np.array_equal(np.isnan(u), np.isnan(u_ref))
     ok = ~np.isnan(u)
     assert np.max(np.abs(u[ok] - u_ref[ok])) < 1e-9
     ref = 2 * math.pi / _cell_energy(u_ref, d.h_t, d.h_phi)
     assert modulus_capacity(d) == pytest.approx(ref, rel=0, abs=1e-9)
+    # the matrix-free operator CG was given is the explicit-loop matrix
+    A_ref, b_ref, _ = _reference_system(d)
+    A, b = systems[0]
+    assert A.shape == A_ref.shape and np.array_equal(b, b_ref)
+    for x in np.random.default_rng(0).standard_normal((4, A.shape[1])):
+        y_ref = A_ref @ x
+        assert np.max(np.abs(A.matvec(x) - y_ref)) <= 1e-12 * np.max(np.abs(y_ref))
 
 
 @settings(max_examples=40, deadline=None)
@@ -225,6 +240,31 @@ def test_masked_domain_validation():
         roles[10, j_in], roles[10, j_out] = INNER, OUTER
         with pytest.raises(MaskError):
             MaskedPolarDomain(t=t, n_theta=32, roles=roles)
+
+
+@pytest.mark.parametrize("t", [
+    np.log(np.linspace(0.5, 1.0, 32)),                  # not uniform: modulus 0.984, not log 2
+    np.linspace(0.0, math.log(0.5), 32),                # decreasing
+    np.r_[np.linspace(math.log(0.5), 0.0, 31), np.nan],  # not finite
+    np.r_[np.linspace(math.log(0.5), 0.0, 31), np.inf],
+    np.linspace(math.log(0.5), 0.0, 32)[:, None],       # not 1-D
+], ids=["nonuniform", "decreasing", "nan", "inf", "2-d"])
+def test_masked_domain_rejects_bad_t(t):
+    roles = np.full((32, 32), INTERIOR, dtype=np.int8)
+    roles[0], roles[-1] = INNER, OUTER
+    with pytest.raises(MaskError, match="uniformly spaced"):
+        MaskedPolarDomain(t=t, n_theta=32, roles=roles)
+
+
+def test_masked_domain_rejects_unknown_role_codes():
+    t = np.linspace(math.log(0.5), 0.0, 32)
+    roles = np.full((32, 32), INTERIOR, dtype=np.int8)
+    roles[0], roles[-1] = INNER, OUTER
+    assert modulus_capacity(MaskedPolarDomain(t=t, n_theta=32, roles=roles)) == pytest.approx(
+        math.log(2), rel=0, abs=1e-12)
+    roles[5, 3] = 7  # was read as a 0-valued boundary node: modulus 0.6914
+    with pytest.raises(MaskError, match="role codes"):
+        MaskedPolarDomain(t=t, n_theta=32, roles=roles)
 
 
 def test_angular_energy_equality_for_identity_angle():
