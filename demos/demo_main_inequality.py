@@ -40,7 +40,7 @@ cases = [
 for sign, kappa, rho1, rho2 in cases:
     bound = CurvatureBound(sign, kappa)
     metric = constant_curvature_metric(bound)
-    t_max = critical_modulus(metric, rho1, rho2, tol=1e-6, n_steps=1024)
+    t_max = critical_modulus(metric, rho1, rho2, tol=1e-6)
     rep = verify_end_to_end(metric, 1.0, math.exp(t_max), rho1, rho2)
     subs = all(
         blk.get("ok", blk.get("identity_ok", True) and blk.get("chain_ok", True))

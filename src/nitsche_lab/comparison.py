@@ -103,7 +103,7 @@ def hessian_check(m: RotMetric, rho_max: float, bound: CurvatureBound) -> Compar
     """
     if rho_max >= m.rho_max:
         raise DomainError("rho_max exceeds the metric's distance range")
-    if bound.sign == "positive" and rho_max >= bound.cap:
+    if rho_max >= bound.cap:
         raise DomainError("positive bound requires rho_max < pi/(2 kappa)")
     rho = _samples(rho_max)
 

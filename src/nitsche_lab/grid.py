@@ -12,7 +12,7 @@ continuous lift of the target angle ``theta`` (winding one).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,10 +105,8 @@ def d_t2(F: np.ndarray, h: float) -> np.ndarray:
 
 @dataclass
 class SolveInfo:
-    converged: bool
     iterations: int
-    residual_history: list[float] = field(default_factory=list)
-    message: str = ""
+    residual_history: list[float]
 
 
 @dataclass

@@ -16,7 +16,8 @@ This module provides:
   tabulated) together with its distance profile, inverse, and ``G``,
 - the three constant-curvature model metrics ``2/(kappa (1 +- s^2))``,
 - the comparison functions ``h_c``, ``psi_small``, ``psi_big``, ``psi_sharp``
-  used by the Laplacian bounds and the main annulus inequality,
+  used by the Laplacian bounds and the main annulus inequality, which read
+  each model surface from one per-sign table,
 - a finite-difference Gaussian curvature evaluator, and
 - the JSON metric-description loader.
 """
@@ -35,7 +36,19 @@ from .errors import DomainError
 NEGATIVE = "negative"
 ZERO = "zero"
 POSITIVE = "positive"
-_SIGNS = (NEGATIVE, ZERO, POSITIVE)
+# The model surface of each sign in x = kappa r (kappa = 1 for the zero bound):
+# curvature sigma kappa^2, G = sn(x)/kappa, G' = cs(x), tn = sn/cs, atn = tn^-1.
+_MODELS = {
+    NEGATIVE: (-1.0, np.sinh, np.cosh, np.tanh, np.arctanh),
+    ZERO: (0.0, np.positive, np.ones_like, np.positive, np.positive),
+    POSITIVE: (1.0, np.sin, np.cos, np.tan, np.arctan),
+}
+_SIGNS = tuple(_MODELS)  # tested by ==, so an unhashable sign is a DomainError too
+
+
+def _model(bound: "CurvatureBound"):
+    """(kappa, sigma, sn, cs, tn, atn) of the bound's model surface."""
+    return (bound.kappa or 1.0, *_MODELS[bound.sign])
 
 
 @dataclass(frozen=True)
@@ -65,11 +78,12 @@ class CurvatureBound:
 
     @property
     def value(self) -> float:
-        """The signed curvature bound c in {-kappa^2, 0, +kappa^2}."""
-        if self.sign == ZERO:
-            return 0.0
-        k2 = self.kappa**2
-        return -k2 if self.sign == NEGATIVE else k2
+        """The signed curvature bound c = sigma kappa^2, -inf or inf once kappa^2 overflows."""
+        kappa, sigma, *_ = _model(self)
+        try:
+            return sigma * kappa**2
+        except OverflowError:
+            return sigma * math.inf
 
     @property
     def cap(self) -> float:
@@ -92,54 +106,32 @@ class CurvatureBound:
 
 
 def h_c(bound: CurvatureBound, r):
-    """Model-space Hessian comparison function.
-
-    sqrt(c) cot(sqrt(c) r)   for c = +kappa^2 (requires r < pi/kappa),
-    1/r                      for c = 0,
-    sqrt(-c) coth(sqrt(-c) r) for c = -kappa^2.
-    """
+    """Model-space Hessian comparison function kappa / tn(kappa r): kappa coth(kappa r),
+    1/r, or kappa cot(kappa r) by the sign of the bound (the last for r < pi/kappa)."""
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0):
         raise DomainError("h_c requires r > 0")
-    if bound.sign == ZERO:
-        out = 1.0 / r
-    elif bound.sign == NEGATIVE:
-        out = bound.kappa / np.tanh(bound.kappa * r)
-    else:
-        x = bound.kappa * r
-        if np.any(x >= math.pi):
+    kappa, sigma, _, _, tn, _ = _model(bound)
+    x = kappa * r
+    with np.errstate(invalid="ignore"):  # 0 * inf for the zero bound at r = inf
+        if np.any(sigma * x >= math.pi):
             raise DomainError("h_c pole: require r < pi/kappa for a positive bound")
-        out = bound.kappa / np.tan(x)
+    out = kappa / tn(x)
     return out if out.ndim else float(out)
-
-
-def _check_positive_domain(bound: CurvatureBound, rho, cap_factor: float = 0.5) -> None:
-    if bound.sign == POSITIVE:
-        limit = math.pi * cap_factor / bound.kappa
-        if np.any(np.asarray(rho) > limit + 1e-15):
-            raise DomainError(
-                f"geodesic radius exceeds pi/({1/cap_factor:g} kappa) = {limit:.6g} "
-                "for a positive curvature bound"
-            )
 
 
 def psi_small(bound: CurvatureBound, rho):
     """Laplacian lower-bound coefficient as reported by the main inequality.
 
-    sinh(kappa rho)/kappa, rho, or sin(kappa rho)/kappa by the sign of the
-    bound.  The positive branch requires rho <= pi/(2 kappa).
+    sn(kappa rho)/kappa: sinh(kappa rho)/kappa, rho, or sin(kappa rho)/kappa by
+    the sign of the bound.  Requires 0 <= rho <= ``bound.cap``.
     """
     rho = np.asarray(rho, dtype=float)
-    if np.any(rho < 0):
-        raise DomainError("psi_small requires rho >= 0")
-    _check_positive_domain(bound, rho)
-    if bound.sign == ZERO:
-        out = rho.copy()
-    elif bound.sign == NEGATIVE:
-        with np.errstate(over="ignore"):  # inf beyond kappa rho ~ 710
-            out = np.sinh(bound.kappa * rho) / bound.kappa
-    else:
-        out = np.sin(bound.kappa * rho) / bound.kappa
+    if np.any(rho < 0) or np.any(rho > bound.cap + 1e-15):
+        raise DomainError(f"psi_small requires 0 <= rho <= cap = {bound.cap:.6g}")
+    kappa, _, sn, *_ = _model(bound)
+    with np.errstate(over="ignore"):  # sinh is inf beyond kappa rho ~ 710
+        out = sn(kappa * rho) / kappa
     return out if out.ndim else float(out)
 
 
@@ -155,23 +147,19 @@ def psi_big(bound: CurvatureBound, rho1):
 def psi_sharp(bound: CurvatureBound, rho):
     """Sharp per-point Laplacian coefficient h_c(rho) * Ghat(rho)^2.
 
-    Equals sinh(2 kappa rho)/(2 kappa), rho, or sin(2 kappa rho)/(2 kappa);
+    Equals sn(2 kappa rho)/(2 kappa): sinh(2 kappa rho)/(2 kappa), rho, or
+    sin(2 kappa rho)/(2 kappa), for 0 <= rho <= 2 ``bound.cap``;
     this is the radial Laplacian of the constant-curvature model itself, so
     the bound ``lap(rho) >= psi_sharp(rho) |grad theta|^2`` is an equality for
     model metrics.  (``psi_small`` overstates this coefficient by a factor
     cos(kappa rho) in the positive case; see ``laplacian_bound_check``.)
     """
     rho = np.asarray(rho, dtype=float)
-    if np.any(rho < 0):
-        raise DomainError("psi_sharp requires rho >= 0")
-    _check_positive_domain(bound, rho, cap_factor=1.0)
-    if bound.sign == ZERO:
-        out = rho.copy()
-    elif bound.sign == NEGATIVE:
-        with np.errstate(over="ignore"):  # inf beyond kappa rho ~ 355
-            out = np.sinh(2 * bound.kappa * rho) / (2 * bound.kappa)
-    else:
-        out = np.sin(2 * bound.kappa * rho) / (2 * bound.kappa)
+    if np.any(rho < 0) or np.any(rho > 2 * bound.cap + 1e-15):
+        raise DomainError(f"psi_sharp requires 0 <= rho <= 2 cap = {2 * bound.cap:.6g}")
+    kappa, _, sn, *_ = _model(bound)
+    with np.errstate(over="ignore"):  # sinh is inf beyond kappa rho ~ 355
+        out = sn(2 * kappa * rho) / (2 * kappa)
     return out if out.ndim else float(out)
 
 
@@ -278,13 +266,14 @@ class RotMetric:
 def constant_curvature_metric(bound: CurvatureBound) -> RotMetric:
     """The model metric of constant curvature matching ``bound``.
 
-    Densities 2/(kappa (1 + s^2)), 1, 2/(kappa (1 - s^2)): distance profiles
-    (2/kappa) atan, identity, (2/kappa) atanh; G(rho) = sin(kappa rho)/kappa,
-    rho, sinh(kappa rho)/kappa.  Off the sphere, ``rho_max`` is the largest
-    radius where G, G', their squares and (G^2)' are finite floats.
+    The plane has density 1 and G(rho) = rho.  The sphere and the hyperboloid
+    (sigma = +1, -1) have density 2/(kappa (1 + sigma s^2)), distance
+    (2/kappa) atn(s) and G, G' from the sign table.  The sphere ends at its
+    antipode pi/kappa; off the sphere, ``rho_max`` is the largest radius where
+    G, G', their squares and (G^2)' are finite floats.
     """
     big = float(np.finfo(float).max)
-    if bound.sign == ZERO:
+    if bound.sign == ZERO:  # plain lambdas: the scalar RK4 loop calls G and G' at every stage
         return RotMetric(
             density=lambda s: np.ones_like(np.asarray(s, dtype=float)),
             distance=lambda s: np.asarray(s, dtype=float),
@@ -297,34 +286,25 @@ def constant_curvature_metric(bound: CurvatureBound) -> RotMetric:
             bound=bound,
             label="flat",
         )
-    k = bound.kappa
-    if bound.sign == NEGATIVE:
-        return RotMetric(
-            density=lambda s: 2.0 / (k * (1.0 - np.asarray(s, dtype=float) ** 2)),
-            distance=lambda s: 2.0 / k * np.arctanh(np.asarray(s, dtype=float)),
-            inverse_distance=lambda rho: np.tanh(k * np.asarray(rho, dtype=float) / 2.0),
-            domain_radius=1.0,
-            rho_max=min(math.acosh(math.sqrt(big)), math.asinh(math.sqrt(big) * k),
-                        math.asinh(min(big * k, big)) / 2) / k,
-            density_prime=lambda s: 4.0 * np.asarray(s, dtype=float)
-            / (k * (1.0 - np.asarray(s, dtype=float) ** 2) ** 2),
-            g_analytic=lambda rho: np.sinh(k * np.asarray(rho, dtype=float)) / k,
-            g_prime_analytic=lambda rho: np.cosh(k * np.asarray(rho, dtype=float)),
-            bound=bound,
-            label=f"hyperbolic(kappa={k:g})",
-        )
+    k, sigma, sn, cs, tn, atn = _model(bound)
+    if sigma > 0:
+        name, domain_radius, rho_max = "spherical", math.inf, math.pi / k
+    else:
+        name, domain_radius = "hyperbolic", 1.0
+        rho_max = min(math.acosh(math.sqrt(big)), math.asinh(math.sqrt(big) * k),
+                      math.asinh(min(big * k, big)) / 2) / k
     return RotMetric(
-        density=lambda s: 2.0 / (k * (1.0 + np.asarray(s, dtype=float) ** 2)),
-        distance=lambda s: 2.0 / k * np.arctan(np.asarray(s, dtype=float)),
-        inverse_distance=lambda rho: np.tan(k * np.asarray(rho, dtype=float) / 2.0),
-        domain_radius=math.inf,
-        rho_max=math.pi / k,
-        density_prime=lambda s: -4.0 * np.asarray(s, dtype=float)
-        / (k * (1.0 + np.asarray(s, dtype=float) ** 2) ** 2),
-        g_analytic=lambda rho: np.sin(k * np.asarray(rho, dtype=float)) / k,
-        g_prime_analytic=lambda rho: np.cos(k * np.asarray(rho, dtype=float)),
+        density=lambda s: 2.0 / (k * (1.0 + sigma * np.asarray(s, dtype=float) ** 2)),
+        distance=lambda s: 2.0 / k * atn(np.asarray(s, dtype=float)),
+        inverse_distance=lambda rho: tn(k * np.asarray(rho, dtype=float) / 2.0),
+        domain_radius=domain_radius,
+        rho_max=rho_max,
+        density_prime=lambda s: -4.0 * sigma * np.asarray(s, dtype=float)
+        / (k * (1.0 + sigma * np.asarray(s, dtype=float) ** 2) ** 2),
+        g_analytic=lambda rho: sn(k * np.asarray(rho, dtype=float)) / k,
+        g_prime_analytic=lambda rho: cs(k * np.asarray(rho, dtype=float)),
         bound=bound,
-        label=f"spherical(kappa={k:g})",
+        label=f"{name}(kappa={k:g})",
     )
 
 

@@ -315,5 +315,5 @@ def solve_dirichlet(grid: AnnulusGrid, m: RotMetric, rho1: float, rho2: float,
     if not converged:
         raise DivergenceError(f"Newton stopped at residual {history[-1]:.3e} > {NEWTON_TOL:.1e} "
                               f"after {len(history) - 1} iterations")
-    info = SolveInfo(True, len(history) - 1, history, "converged")
+    info = SolveInfo(len(history) - 1, history)
     return AnnulusMap(grid=grid, rho=x[0], theta=grid.mesh()[1] + x[1], metric=m, info=info)

@@ -263,7 +263,7 @@ def random_solved_cases(n_per_sign: int = 50, seed: int = 7,
             rho2 = rng.uniform(0.35, 0.96) * cap
             rho1 = rng.uniform(0.3, 0.85) * rho2
             metric = constant_curvature_metric(bound)
-            t_max = critical_modulus(metric, rho1, rho2, tol=1e-6, n_steps=1024)
+            t_max = critical_modulus(metric, rho1, rho2, tol=1e-6)
             near_critical = k < n_per_sign * NEAR_CRITICAL_FRACTION
             beta = 1.0 if near_critical else rng.uniform(0.35, 0.98)
             T = beta * t_max

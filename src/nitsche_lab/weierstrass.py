@@ -128,8 +128,8 @@ def surface_metric(w: WeierstrassData) -> RotMetric:
 
     Distance and inverse from :func:`metrics.distance_table` on
     ``SURFACE_KNOTS`` knots, the inverse polished with Newton steps on the
-    analytic density.  The curvature of a non-planar surface is negative, so
-    the natural curvature bound is zero.
+    analytic density.  A minimal surface has curvature <= 0 (zero on the
+    plane), so every catalog surface carries the zero bound.
     """
     if not check_rotational_symmetry(w):
         raise UnsupportedDataError(f"{w.name}: metric shortcut needs rotational symmetry")
@@ -160,7 +160,7 @@ def surface_metric(w: WeierstrassData) -> RotMetric:
         domain_radius=DISK_EDGE,
         rho_max=float(inv_interp.x[-1]),
         density_prime=h_prime,
-        bound=None if w.name == "planar" else CurvatureBound.zero(),
+        bound=CurvatureBound.zero(),
         label=f"weierstrass:{w.name}",
     )
 

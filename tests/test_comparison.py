@@ -1,5 +1,7 @@
 """Growth and Hessian comparison checks on explicit metrics."""
 
+import math
+
 import pytest
 
 from nitsche_lab import (
@@ -74,9 +76,8 @@ def test_hessian_minimal_surface_catalog_zero_bound():
     from nitsche_lab import CATALOG
 
     for name, w in CATALOG.items():
-        if name == "planar":
-            continue
         m = surface_metric(w)
+        assert m.bound == CurvatureBound.zero(), name
         rep = hessian_check(m, 0.9 * m.rho_max, CurvatureBound.zero())
         assert rep.passed, name
 
@@ -84,6 +85,14 @@ def test_hessian_minimal_surface_catalog_zero_bound():
 def test_hessian_precondition_status():
     rep = hessian_check(FLAT, 2.0, CurvatureBound.negative(1.0))  # 0 > -1
     assert rep.status == STATUS_PRECONDITION
+
+
+def test_hessian_bound_past_the_float_range_is_a_precondition_failure():
+    # kappa^2 overflows: the bound reads -inf, so every curvature exceeds it
+    huge = CurvatureBound.negative(1e200)
+    assert huge.value == -math.inf and CurvatureBound.positive(1e200).value == math.inf
+    rep = hessian_check(FLAT, 0.5, huge)
+    assert rep.status == STATUS_PRECONDITION and not rep.passed
 
 
 def test_hessian_positive_cap_enforced():

@@ -68,6 +68,38 @@ def test_psi_values():
     assert psi_small(huge, 0.5) == psi_sharp(huge, 0.5) == psi_big(huge, 0.5) == math.inf
 
 
+def test_sign_table_matches_closed_forms():
+    # each model's comparison functions and G, G' equal the plain numpy formulas exactly
+    for bound, sn, cs, tn in (
+        (FLAT, lambda x: x, np.ones_like, lambda x: x),
+        (CurvatureBound.negative(1.3), np.sinh, np.cosh, np.tanh),
+        (CurvatureBound.positive(0.7), np.sin, np.cos, np.tan),
+    ):
+        k = bound.kappa or 1.0
+        top = min(bound.cap, 3.0)
+        rho = np.linspace(0.0, top, 101)
+        r = rho[1:]
+        assert np.array_equal(psi_small(bound, rho), sn(k * rho) / k)
+        assert np.array_equal(psi_sharp(bound, 2 * rho), sn(2 * k * (2 * rho)) / (2 * k))
+        assert np.array_equal(h_c(bound, 1.9 * r), k / tn(k * (1.9 * r)))
+        m = constant_curvature_metric(bound)
+        assert np.array_equal(m.G(r), sn(k * r) / k)
+        assert np.array_equal(m.G_prime(r), cs(k * r))
+    s = np.linspace(0.0, 0.99, 50)
+    hyp, sph = constant_curvature_metric(NEG), constant_curvature_metric(POS)
+    assert np.array_equal(hyp.density(s), 2.0 / (1.0 - s**2))
+    assert np.array_equal(sph.density(s), 2.0 / (1.0 + s**2))
+    assert np.array_equal(hyp.density_prime(s), 4.0 * s / (1.0 - s**2) ** 2)
+    assert np.array_equal(sph.density_prime(s), -4.0 * s / (1.0 + s**2) ** 2)
+    # the radius gates read the cap: psi_small up to cap, psi_sharp up to 2 cap
+    pos = CurvatureBound.positive(0.7)
+    for psi, limit in ((psi_small, pos.cap + 1e-15), (psi_sharp, 2 * pos.cap + 1e-15)):
+        psi(pos, limit)
+        with pytest.raises(DomainError, match="cap"):
+            psi(pos, np.nextafter(limit, math.inf))
+    assert psi_small(NEG, 1e6) == math.inf and psi_sharp(FLAT, 1e6) == 1e6
+
+
 def test_psi_consistency_and_ordering():
     rho = np.linspace(0.01, 1.5, 200)
     for bound in (NEG, FLAT):
@@ -206,6 +238,19 @@ def test_infer_bound_signs():
     assert infer_bound(constant_curvature_metric(NEG)).sign == "negative"
     assert infer_bound(constant_curvature_metric(FLAT)).sign == "zero"
     assert infer_bound(constant_curvature_metric(POS)).sign == "positive"
+
+
+def test_infer_bound_from_sampled_model_densities():
+    # profile metrics carry no bound: infer_bound reads it off the FD curvature
+    for sign, s_max, density, curvature in (
+        ("negative", 0.9, lambda s: 2.0 / (1.0 - s**2), -1.0),
+        ("positive", 2.0, lambda s: 2.0 / (1.0 + s**2), 1.0),
+        ("zero", 2.0, np.ones_like, 0.0),
+    ):
+        s = np.linspace(0.0, s_max, 1000)
+        bound = infer_bound(metric_from_profile(np.column_stack([s, density(s)])))
+        assert bound.sign == sign
+        assert bound.value >= curvature
 
 
 def test_load_metric_rejects_malformed_descriptions():

@@ -220,7 +220,7 @@ def test_main_inequality_for_solved_radial_bvp_nonpositive_bounds():
         for _ in range(10):
             rho1 = rng.uniform(0.3, 1.0)
             rho2 = rho1 * rng.uniform(1.05, 1.8)
-            t_max = critical_modulus(m, rho1, rho2, tol=1e-6, n_steps=1024)
+            t_max = critical_modulus(m, rho1, rho2, tol=1e-6)
             T = rng.uniform(0.3, 1.0) * t_max
             sol = solve_bvp(m, rho1, rho2, T, n_steps=1024)
             assert not isinstance(sol, NoSolution)
