@@ -6,13 +6,7 @@ distortion bound rho2/rho1 >= Psi Mod^2 + 1.
 """
 
 from .comparison import ComparisonReport, hessian_check, osserman_check
-from .errors import (
-    DivergenceError,
-    DomainError,
-    MaskError,
-    RangeExitError,
-    UnsupportedDataError,
-)
+from .errors import DivergenceError, DomainError, MaskError, RangeExitError
 from .grid import AnnulusGrid, AnnulusMap, embed_radial_profile
 from .metrics import (
     CurvatureBound,

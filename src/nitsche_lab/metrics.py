@@ -12,8 +12,8 @@ metric reads ``d rho^2 + G(rho)^2 d theta^2`` with ``G(rho) = h(g(rho)) g(rho)``
 This module provides:
 
 - :class:`CurvatureBound` -- the sign/magnitude of an upper curvature bound,
-- :class:`RotMetric` -- a rotationally symmetric metric (closed-form or
-  tabulated) together with its distance profile, inverse, and ``G``,
+- :class:`RotMetric` -- a rotationally symmetric metric (closed-form, or
+  tabulated from density samples) with its distance profile, inverse, and ``G``,
 - the three constant-curvature model metrics ``2/(kappa (1 +- s^2))``,
 - the comparison functions ``h_c``, ``psi_small``, ``psi_big``, ``psi_sharp``
   used by the Laplacian bounds and the main annulus inequality, which read
@@ -140,7 +140,7 @@ def psi_big(bound: CurvatureBound, rho1):
     rho1 = np.asarray(rho1, dtype=float)
     if np.any(rho1 <= 0):
         raise DomainError("psi_big requires rho1 > 0")
-    out = psi_small(bound, rho1) / (2 * rho1)
+    out = psi_small(bound, rho1) / rho1 / 2  # 2 rho1 may overflow
     return out if np.ndim(out) else float(out)
 
 
@@ -148,18 +148,21 @@ def psi_sharp(bound: CurvatureBound, rho):
     """Sharp per-point Laplacian coefficient h_c(rho) * Ghat(rho)^2.
 
     Equals sn(2 kappa rho)/(2 kappa): sinh(2 kappa rho)/(2 kappa), rho, or
-    sin(2 kappa rho)/(2 kappa), for 0 <= rho <= 2 ``bound.cap``;
-    this is the radial Laplacian of the constant-curvature model itself, so
-    the bound ``lap(rho) >= psi_sharp(rho) |grad theta|^2`` is an equality for
-    model metrics.  (``psi_small`` overstates this coefficient by a factor
-    cos(kappa rho) in the positive case; see ``laplacian_bound_check``.)
+    sin(2 kappa rho)/(2 kappa), for 0 <= rho <= 2 ``bound.cap`` with 2 kappa
+    rho a finite float; this is the radial Laplacian of the constant-curvature
+    model itself, so the bound ``lap(rho) >= psi_sharp(rho) |grad theta|^2`` is
+    an equality for model metrics.  (``psi_small`` overstates this coefficient
+    by a factor cos(kappa rho) in the positive case; see
+    ``laplacian_bound_check``.)
     """
     rho = np.asarray(rho, dtype=float)
-    if np.any(rho < 0) or np.any(rho > 2 * bound.cap + 1e-15):
-        raise DomainError(f"psi_sharp requires 0 <= rho <= 2 cap = {2 * bound.cap:.6g}")
     kappa, _, sn, *_ = _model(bound)
     with np.errstate(over="ignore"):  # sinh is inf beyond kappa rho ~ 355
-        out = sn(2 * kappa * rho) / (2 * kappa)
+        x = 2 * kappa * rho
+        if np.any(rho < 0) or np.any(rho > 2 * bound.cap + 1e-15) or np.any(x == math.inf):
+            raise DomainError(f"psi_sharp requires 0 <= rho <= 2 cap = {2 * bound.cap:.6g} "
+                              "and 2 kappa rho finite")
+        out = sn(x) / (2 * kappa)
     return out if out.ndim else float(out)
 
 
@@ -268,9 +271,9 @@ def constant_curvature_metric(bound: CurvatureBound) -> RotMetric:
 
     The plane has density 1 and G(rho) = rho.  The sphere and the hyperboloid
     (sigma = +1, -1) have density 2/(kappa (1 + sigma s^2)), distance
-    (2/kappa) atn(s) and G, G' from the sign table.  The sphere ends at its
-    antipode pi/kappa; off the sphere, ``rho_max`` is the largest radius where
-    G, G', their squares and (G^2)' are finite floats.
+    (2/kappa) atn(s) and G, G' from the sign table.  ``rho_max`` is the
+    largest radius where G, G', their squares and (G^2)' are finite floats,
+    and at most the sphere's antipode pi/kappa.
     """
     big = float(np.finfo(float).max)
     if bound.sign == ZERO:  # plain lambdas: the scalar RK4 loop calls G and G' at every stage
@@ -287,8 +290,10 @@ def constant_curvature_metric(bound: CurvatureBound) -> RotMetric:
             label="flat",
         )
     k, sigma, sn, cs, tn, atn = _model(bound)
-    if sigma > 0:
-        name, domain_radius, rho_max = "spherical", math.inf, math.pi / k
+    if sigma > 0:  # G^2 = sin^2/kappa^2 overflows first for kappa below 1/sqrt(big)
+        name, domain_radius = "spherical", math.inf
+        c = math.sqrt(big) * k
+        rho_max = math.pi / k if c >= 1 else math.asin(c) / k
     else:
         name, domain_radius = "hyperbolic", 1.0
         rho_max = min(math.acosh(math.sqrt(big)), math.asinh(math.sqrt(big) * k),
@@ -308,24 +313,14 @@ def constant_curvature_metric(bound: CurvatureBound) -> RotMetric:
     )
 
 
-def distance_table(density: Callable, s_max: float, n_knots: int):
-    """Distance d(s) = integral_0^s h and its inverse as PCHIP interpolants, from
-    cumulative composite Simpson on 2 n_knots equal intervals of [0, s_max]."""
-    from scipy.interpolate import PchipInterpolator
-
-    fine = np.linspace(0.0, s_max, 2 * n_knots + 1)
-    hv = density(fine)
-    seg = (fine[1] - fine[0]) / 3.0 * (hv[0:-2:2] + 4.0 * hv[1:-1:2] + hv[2::2])
-    d_knots = np.concatenate([[0.0], np.cumsum(seg)])
-    return PchipInterpolator(fine[::2], d_knots), PchipInterpolator(d_knots, fine[::2])
-
-
 def metric_from_profile(samples) -> RotMetric:
     """Build a metric labelled ``"profile"``, with no bound, from (s, h(s)) samples.
 
-    The density is interpolated by a monotone cubic (PCHIP); distance and
-    inverse come from :func:`distance_table` on >= 1024 knots.  Non-numeric,
-    non-finite, zero or negative density samples are rejected.
+    The density is interpolated by a monotone cubic (PCHIP).  Distance and
+    inverse are PCHIP interpolants through >= 1024 knots of d(s) = integral_0^s h,
+    from cumulative composite Simpson on twice as many equal intervals of
+    [0, s_max].  Non-numeric, non-finite, zero or negative density samples are
+    rejected.
     """
     from scipy.interpolate import PchipInterpolator
 
@@ -344,14 +339,17 @@ def metric_from_profile(samples) -> RotMetric:
         s = np.concatenate([[0.0], s])
         h = np.concatenate([[h[0]], h])
     density = PchipInterpolator(s, h)
-    s_max = float(s[-1])
-    distance, inverse = distance_table(density, s_max, max(1024, 4 * len(s)))
+    fine = np.linspace(0.0, s[-1], 2 * max(1024, 4 * len(s)) + 1)
+    hv = density(fine)
+    seg = (fine[1] - fine[0]) / 3.0 * (hv[0:-2:2] + 4.0 * hv[1:-1:2] + hv[2::2])
+    d_knots = np.concatenate([[0.0], np.cumsum(seg)])
+    distance, inverse = PchipInterpolator(fine[::2], d_knots), PchipInterpolator(d_knots, fine[::2])
     return RotMetric(
         density=density,
         distance=distance,
         inverse_distance=inverse,
-        domain_radius=s_max,
-        rho_max=float(inverse.x[-1]),
+        domain_radius=float(s[-1]),
+        rho_max=float(d_knots[-1]),
         density_prime=density.derivative(),
         label="profile",
     )

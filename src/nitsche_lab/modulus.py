@@ -41,8 +41,8 @@ class Circular:
     r2: float
 
     def __post_init__(self):
-        if not 0 < self.r1 < self.r2 < math.inf:
-            raise DomainError("need 0 < r1 < r2 < inf")
+        if not (0 < self.r1 < self.r2 and self.r2 / self.r1 < math.inf):
+            raise DomainError("need 0 < r1 < r2 with r2/r1 a finite float")
 
 
 @dataclass(frozen=True)

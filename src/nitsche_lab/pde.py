@@ -196,11 +196,11 @@ def _damped_newton(residual, newton_step, x: np.ndarray, tol: float, max_iter: i
     most 30 times) until an admissible trial lowers max|F|; a trial that
     rounds back to x ends the search, since every shorter one does too.
     Returns (x, history of max|F|, converged), stopping once max|F| <= tol,
-    at a max|F| that is not finite, at the first failed search, or after
-    ``max_iter`` steps.
+    at a max|F| that is not finite (an inadmissible start counts as inf), at
+    the first failed search, or after ``max_iter`` steps.
     """
     F = residual(x)
-    history = [float(np.max(np.abs(F)))]
+    history = [math.inf if F is None else float(np.max(np.abs(F)))]
     while tol < history[-1] < math.inf and len(history) <= max_iter:
         dx = newton_step(x, F)
         for k in range(30):

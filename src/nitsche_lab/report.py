@@ -135,7 +135,7 @@ def check_bound(bound: CurvatureBound, rho1: float, rho2: float, mod: float,
     except OverflowError:  # mod above 1.3e154: the right-hand sides are infinite
         mod2 = math.inf
     rhs = psi * mod2 + 1.0
-    sharp = _psi_sharp_min(bound, rho1, rho2) / (2 * rho1)
+    sharp = _psi_sharp_min(bound, rho1, rho2) / rho1 / 2  # as psi_big: 2 rho1 may overflow
     rhs_sharp = sharp * mod2 + 1.0
     params = {"bound": (bound.sign, bound.kappa), "rho1": rho1, "rho2": rho2, "mod": mod}
     return BoundReport(

@@ -4,76 +4,54 @@ Minimal-surface metrics on the unit disk
 
 A simply connected minimal surface admits a conformal harmonic
 parametrisation from the unit disk built from a pair of holomorphic
-derivative data; the induced conformal density is |g'(z)| + |h'(z)|.  The
-catalog here keeps only the derivative data -- the ambient immersion is
-never needed: the density carries the curvature, the distances, and the
-geodesics.  All catalog surfaces are rotationally symmetric, which is what
-lets radial distances stand in for the full distance function.
+derivatives g', h'; the induced conformal density is |g'(z)| + |h'(z)|.
+Every catalog surface has g' = a and h' = b z^k, so it is stored as the
+numbers (a, b, k).  Its density |a| + |b| |z|^k is rotationally symmetric,
+so the rays from the origin are geodesics, the distance from the origin is
+the polynomial d(s) = |a| s + |b| s^(k+1)/(k+1), and its inverse is a Newton
+iteration on d.  The ambient immersion is never needed: the density carries
+the curvature, the distances, and the geodesics.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, RangeExitError, UnsupportedDataError
-from .metrics import CurvatureBound, RotMetric, distance_table
+from .errors import DomainError, RangeExitError
+from .metrics import CurvatureBound, RotMetric
 from .radial import rk4
 
 DISK_EDGE = 1.0 - 1e-6  # distances are computed up to this chart radius
-SURFACE_KNOTS = 4096  # distance-table knots of surface_metric
 
 
 @dataclass(frozen=True)
 class WeierstrassData:
-    """Holomorphic derivative data of a minimal-surface parametrisation."""
+    """Derivative data g' = a, h' = b z^k: complex a != 0 and b, integer k >= 2."""
 
     name: str
-    g_prime: Callable
-    h_prime: Callable
-    g_prime2: Callable
-    h_prime2: Callable
+    a: complex
+    b: complex
+    k: int
 
-
-def _const(c):
-    return lambda z: np.full_like(np.asarray(z, dtype=complex), c)
+    def __post_init__(self):
+        if not (self.a != 0 and cmath.isfinite(self.a) and cmath.isfinite(self.b)):
+            raise DomainError(f"{self.name}: need finite a != 0 and b, got {self.a!r}, {self.b!r}")
+        if not (isinstance(self.k, int) and self.k >= 2):
+            raise DomainError(f"{self.name}: need an integer k >= 2, got {self.k!r}")
 
 
 CATALOG: dict[str, WeierstrassData] = {
-    "planar": WeierstrassData(
-        "planar", _const(1.0), _const(0.0), _const(0.0), _const(0.0)
-    ),
-    "enneper": WeierstrassData(
-        "enneper",
-        _const(1.0),
-        lambda z: np.asarray(z, dtype=complex) ** 2,
-        _const(0.0),
-        lambda z: 2.0 * np.asarray(z, dtype=complex),
-    ),
-    "enneper2": WeierstrassData(
-        "enneper2",
-        _const(1.0),
-        lambda z: np.asarray(z, dtype=complex) ** 4,
-        _const(0.0),
-        lambda z: 4.0 * np.asarray(z, dtype=complex) ** 3,
-    ),
-    "enneper_scaled": WeierstrassData(
-        "enneper_scaled",
-        _const(2.0),
-        lambda z: 2.0 * np.asarray(z, dtype=complex) ** 2,
-        _const(0.0),
-        lambda z: 4.0 * np.asarray(z, dtype=complex),
-    ),
-    "enneper_rotated": WeierstrassData(
-        "enneper_rotated",
-        _const(1.0),
-        lambda z: np.exp(1j * math.pi / 3) * np.asarray(z, dtype=complex) ** 2,
-        _const(0.0),
-        lambda z: 2.0 * np.exp(1j * math.pi / 3) * np.asarray(z, dtype=complex),
-    ),
+    w.name: w for w in (
+        WeierstrassData("planar", 1, 0, 2),
+        WeierstrassData("enneper", 1, 1, 2),
+        WeierstrassData("enneper2", 1, 1, 4),
+        WeierstrassData("enneper_scaled", 2, 2, 2),
+        WeierstrassData("enneper_rotated", 1, cmath.exp(1j * math.pi / 3), 2),
+    )
 }
 
 
@@ -87,95 +65,62 @@ def catalog_surface(name: str) -> WeierstrassData:
 
 
 def we_density(w: WeierstrassData, z):
-    """Conformal density |g'(z)| + |h'(z)| on the open unit disk."""
-    z = np.asarray(z, dtype=complex)
-    if np.any(np.abs(z) >= 1.0):
+    """Conformal density |a| + |b| |z|^k on the open unit disk."""
+    r = np.abs(np.asarray(z, dtype=complex))
+    if np.any(r >= 1.0):
         raise DomainError("the chart is the open unit disk: need |z| < 1")
-    out = np.abs(w.g_prime(z)) + np.abs(w.h_prime(z))
+    out = surface_metric(w).density(r)
     return out if out.ndim else float(out)
 
 
-def check_rotational_symmetry(w: WeierstrassData) -> bool:
-    """Rotational symmetry: density constant to 1e-10 at 64 angles on four circles."""
-    alphas = np.exp(2j * np.pi * np.arange(64) / 64)
-    for s in (0.15, 0.4, 0.65, 0.9):
-        vals = we_density(w, s * alphas)
-        if np.max(vals) - np.min(vals) > 1e-10:
-            return False
-    return True
-
-
 def we_distance_radial(w: WeierstrassData, s: float) -> float:
-    """Geodesic distance from the origin along a ray, integral of the density.
-
-    Valid only for rotationally symmetric data (rays from the origin are
-    geodesics by symmetry); adaptive quadrature of the radial density.
-    """
-    if not check_rotational_symmetry(w):
-        raise UnsupportedDataError(f"{w.name}: radial distances need rotational symmetry")
+    """Geodesic distance |a| s + |b| s^(k+1)/(k+1) from the origin along a ray."""
     if not 0 <= s <= DISK_EDGE:
         raise DomainError(f"need 0 <= s <= {DISK_EDGE}")
-    if s == 0:
-        return 0.0
-    from scipy.integrate import quad
-
-    val, _ = quad(lambda t: float(we_density(w, t)), 0.0, s, limit=200)
-    return float(val)
+    return float(surface_metric(w).distance(s))
 
 
 def surface_metric(w: WeierstrassData) -> RotMetric:
-    """RotMetric of a rotationally symmetric catalog surface.
+    """RotMetric of a catalog surface, its distance and inverse in closed form.
 
-    Distance and inverse from :func:`metrics.distance_table` on
-    ``SURFACE_KNOTS`` knots, the inverse polished with Newton steps on the
-    analytic density.  A minimal surface has curvature <= 0 (zero on the
-    plane), so every catalog surface carries the zero bound.
+    The inverse is Newton on d(s) - rho from s0 = min(rho/|a|, DISK_EDGE),
+    where d(s0) >= rho: d is convex and increasing, so the iterates fall to
+    the root, and the iteration stops once no entry decreases.  A minimal
+    surface has curvature <= 0 (zero on the plane), so every catalog surface
+    carries the zero bound.
     """
-    if not check_rotational_symmetry(w):
-        raise UnsupportedDataError(f"{w.name}: metric shortcut needs rotational symmetry")
+    a, b, k = abs(w.a), abs(w.b), w.k
 
-    def h(s):
+    def density(s):
+        return a + b * np.asarray(s, dtype=float) ** k
+
+    def distance(s):
         s = np.asarray(s, dtype=float)
-        return np.abs(w.g_prime(s.astype(complex))) + np.abs(w.h_prime(s.astype(complex)))
-
-    dist_interp, inv_interp = distance_table(h, DISK_EDGE, SURFACE_KNOTS)
+        return a * s + b * s ** (k + 1) / (k + 1)
 
     def inverse(rho):
-        rho_arr = np.asarray(rho, dtype=float)
-        s = np.clip(inv_interp(rho_arr), 0.0, DISK_EDGE)
-        for _ in range(3):  # Newton polish: d(s) - rho, d' = h
-            s = np.clip(s - (dist_interp(s) - rho_arr) / h(s), 0.0, DISK_EDGE)
+        rho = np.asarray(rho, dtype=float)
+        s = np.minimum(rho / a, DISK_EDGE)
+        while np.any((step := s - (distance(s) - rho) / density(s)) < s):
+            s = np.minimum(step, s)
         return s if s.ndim else float(s)
 
-    def h_prime(s):
-        # radial derivative of a rotationally symmetric density: 2 Re d/dz
-        s = np.asarray(s, dtype=float)
-        out = 2.0 * np.real(_dlog_density(w, s.astype(complex))) * h(s)
-        return out if out.ndim else float(out)
-
     return RotMetric(
-        density=h,
-        distance=dist_interp,
+        density=density,
+        distance=distance,
         inverse_distance=inverse,
         domain_radius=DISK_EDGE,
-        rho_max=float(inv_interp.x[-1]),
-        density_prime=h_prime,
+        rho_max=float(distance(DISK_EDGE)),
+        density_prime=lambda s: k * b * np.asarray(s, dtype=float) ** (k - 1),
         bound=CurvatureBound.zero(),
         label=f"weierstrass:{w.name}",
     )
 
 
 def _dlog_density(w: WeierstrassData, z):
-    """d/dz of log(|g'| + |h'|), zero-safe at zeros of the derivatives."""
-    z = np.asarray(z, dtype=complex)
-    gp, hp = w.g_prime(z), w.h_prime(z)
-    gp2, hp2 = w.g_prime2(z), w.h_prime2(z)
-    out = np.zeros_like(z)
-    for val, dval in ((gp, gp2), (hp, hp2)):
-        mag = np.abs(val)
-        term = np.where(mag > 1e-300, dval * np.conj(val) / np.where(mag > 0, 2 * mag, 1.0), 0.0)
-        out = out + term
-    return out / (np.abs(gp) + np.abs(hp))
+    """d/dz of log(|a| + |b| |z|^k) = k |b| |z|^(k-2) conj(z) / (2 (|a| + |b| |z|^k))."""
+    r, b = abs(z), abs(w.b)
+    return w.k * b * r ** (w.k - 2) * z.conjugate() / (2 * (abs(w.a) + b * r**w.k))
 
 
 @dataclass
@@ -195,9 +140,7 @@ class GeodesicPath:
         """Independent re-integration of the metric length along the path."""
         from scipy.integrate import simpson
 
-        speed = (np.abs(self.surface.g_prime(self.z)) + np.abs(self.surface.h_prime(self.z))) * np.abs(
-            self.velocity
-        )
+        speed = we_density(self.surface, self.z) * np.abs(self.velocity)
         return float(simpson(speed, x=self.t))
 
 
@@ -221,7 +164,7 @@ def geodesic_shoot(w: WeierstrassData, z0: complex, direction: complex,
     h = length / n_steps
 
     def acc(z, v):
-        return -2.0 * complex(_dlog_density(w, np.asarray(z))) * v * v
+        return -2.0 * _dlog_density(w, z) * v * v
 
     zs, vs, exited = rk4(acc, complex(z0), d / float(we_density(w, z0)), h, n_steps,
                          lambda z: abs(z) < DISK_EDGE)
@@ -235,8 +178,8 @@ def geodesic_shoot(w: WeierstrassData, z0: complex, direction: complex,
 def corollary_check(w: WeierstrassData, rho1: float, rho2: float, n: int = 256):
     """Check rho2/rho1 > (1/2) Mod^2 + 1 on a geodesic annulus of the surface.
 
-    For symmetric data the chart region between the distance levels is the
-    circular annulus with radii g(rho1), g(rho2), whose modulus is the log
+    The density is rotationally symmetric, so the chart region between the
+    distance levels is the circular annulus with radii g(rho1), g(rho2), whose modulus is the log
     ratio; the capacity modulus of the masked level-set region is computed
     as a cross-check and recorded in the provenance.  The report is
     :func:`report.check_bound` under the zero bound with tolerance 0, and the

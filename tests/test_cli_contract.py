@@ -11,7 +11,7 @@ import os
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nitsche_lab.cli import main
@@ -91,6 +91,9 @@ def fuzzed_argv(draw):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on extreme numbers
 @settings(max_examples=150, deadline=None)
 @given(fuzzed_argv())
+# r2/r1 overflows: log(r2/r1) was inf, and the NaN warm start crashed Newton
+@example(["solve-map", "--metric", FLAT, "--r1", "0.5", "--r2", "1e308", "--rho1", "0.8",
+          "--rho2", "1.0", "--nr", "16", "--ntheta", "32", "--quiet"])
 def test_fuzzed_argv_keeps_the_exit_code_contract(argv):
     assert main(argv) in (0, 2, 3, 4)
 
@@ -152,6 +155,12 @@ def test_extreme_numbers_keep_the_contract(capsys):
                      "--mod", "0.5", "--quiet"]) == 4
         assert main(["verify", "--metric", hyp, "--rho1", "0.5", "--rho2", "1.0", "--r1", "1",
                      "--r2", "1.5", "--nr", "16", "--ntheta", "32", "--quiet"]) == 4
+        # radii whose ratio, or whose double 2 kappa rho, overflows
+        assert main(["solve-map", *flat, "--rho2", "1.0", "--r1", "0.5", "--r2", "1e308",
+                     "--nr", "16", "--ntheta", "32", "--quiet"]) == 4
+        assert main(["modulus", "--domain", "circular", "0.5", "1e308", "--quiet"]) == 4
+        assert main(["check-bound", "--sign", "zero", "--rho1", "9e307", "--rho2", "1e308",
+                     "--mod", "1", "--quiet"]) == 4
     err = capsys.readouterr().err
     assert "distance range [0, 1.34078e+154) of flat" in err
     assert err.count("distance range [0, 3.55238e-298)") == 2

@@ -267,7 +267,8 @@ def test_cli_rejects_past_cap_and_infinite_modulus():
 
 
 def test_import_leaves_scipy_solvers_unloaded():
-    # and so does a solve-radial run, which needs neither a root finder nor a spline
+    # and so does a solve-radial run, which needs neither a root finder nor a spline,
+    # and a minimal-surface run, whose distance and inverse are closed forms
     code = ("import sys, nitsche_lab; "
             "print([m for m in ('scipy.interpolate', 'scipy.integrate', 'scipy.optimize') "
             "if m in sys.modules]); "
@@ -275,13 +276,18 @@ def test_import_leaves_scipy_solvers_unloaded():
             "code = main(['solve-radial', '--metric', '{\"kind\": \"constant\", "
             "\"sign\": \"negative\", \"kappa\": 1.0}', '--rho1', '0.5', '--rho2', '1.4', "
             "'--mod', '0.5', '--quiet']); "
-            "print(code, [m for m in ('scipy.interpolate', 'scipy.optimize') if m in sys.modules])")
+            "print(code, [m for m in ('scipy.interpolate', 'scipy.optimize') "
+            "if m in sys.modules]); "
+            "code = main(['minimal', '--surface', 'enneper', '--rho1', '0.54', '--rho2', '1.2', "
+            "'--n', '16', '--quiet']); "
+            "print(code, [m for m in ('scipy.interpolate', 'scipy.integrate') "
+            "if m in sys.modules])")
     src = str(Path(nl.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
-    assert out.stdout.splitlines() == ["[]", "0 []"]
+    assert out.stdout.splitlines() == ["[]", "0 []", "0 []"]
 
 
 def test_modulus_of_slope_past_a_maximum_of_G():

@@ -41,6 +41,8 @@ def test_grid_validation():
         AnnulusGrid(1.0, 0.5, 64, 64)
     with pytest.raises(DomainError):
         AnnulusGrid(0.5, 1.0, 8, 64)
+    with pytest.raises(DomainError, match="finite"):  # r2/r1 overflows
+        AnnulusGrid(0.5, 1e308, 16, 32)
     g = AnnulusGrid(0.5, 1.0, 64, 64)
     assert g.modulus == pytest.approx(math.log(2))
     assert g.eps_grid == pytest.approx(10 * g.spacing**2)
@@ -152,6 +154,16 @@ def _halving_profile(m, rho1, rho2, t):
         else:
             break
     return rho
+
+
+def test_inadmissible_newton_start_is_a_failed_solve(monkeypatch):
+    # an all-NaN warm start has no residual: a DivergenceError, not a TypeError
+    from nitsche_lab import DivergenceError, pde
+
+    monkeypatch.setattr(pde, "_radial_discrete_profile",
+                        lambda m, r1, r2, t: np.full_like(t, np.nan))
+    with pytest.raises(DivergenceError, match="inf"):
+        solve_dirichlet(AnnulusGrid(0.5, 1.0, 16, 32), FLAT, 0.8, 1.0)
 
 
 @pytest.mark.parametrize("m, rho1, rho2, T", [(FLAT, 0.8, 1.0, math.log(2)),

@@ -66,6 +66,10 @@ def test_psi_values():
     # sinh overflow is an infinity without a RuntimeWarning
     huge = CurvatureBound.negative(1e300)
     assert psi_small(huge, 0.5) == psi_sharp(huge, 0.5) == psi_big(huge, 0.5) == math.inf
+    # 2 rho1 overflows, psi_big does not; psi_sharp refuses a 2 kappa rho that overflows
+    assert psi_big(FLAT, 9e307) == 0.5
+    with pytest.raises(DomainError, match="2 kappa rho finite"):
+        psi_sharp(FLAT, 9e307)
 
 
 def test_sign_table_matches_closed_forms():
@@ -270,6 +274,6 @@ def test_load_metric_rejects_malformed_descriptions():
 
 
 def test_invalid_input_errors_share_one_family():
-    from nitsche_lab import MaskError, UnsupportedDataError
+    from nitsche_lab import MaskError
 
-    assert issubclass(MaskError, DomainError) and issubclass(UnsupportedDataError, DomainError)
+    assert issubclass(MaskError, DomainError)

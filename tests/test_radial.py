@@ -88,6 +88,13 @@ def test_runaway_shots_exit_at_the_float_range():
     for m in (FLAT, HYP):
         prof = shoot(m, 1.0, 1.0, 1000.0)
         assert prof.exited and prof.rho[-2] < m.rho_max <= prof.rho[-1]
+    # the sphere ends at its antipode, or earlier where G^2 = sin^2/kappa^2 overflows
+    assert SPH.rho_max == math.pi
+    tiny = constant_curvature_metric(CurvatureBound.positive(1e-160))
+    assert tiny.rho_max == pytest.approx(math.sqrt(np.finfo(float).max), rel=1e-12)
+    rho = np.nextafter(tiny.rho_max, 0.0)
+    with np.errstate(all="raise"):
+        assert np.isfinite([tiny.G(rho) ** 2, tiny.G_prime(rho) ** 2, tiny.dG2(rho)]).all()
 
 
 def test_solve_bvp_critical_pair():

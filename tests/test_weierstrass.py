@@ -10,7 +10,6 @@ from nitsche_lab import (
     CurvatureBound,
     DomainError,
     RangeExitError,
-    UnsupportedDataError,
     WeierstrassData,
     catalog_surface,
     check_bound,
@@ -46,24 +45,39 @@ def test_distance_values():
     assert we_distance_radial(e2, 0.5) == pytest.approx(0.5 + 0.5**5 / 5, abs=1e-12)
 
 
-def test_distance_requires_symmetry():
-    skew = WeierstrassData(
-        "skew",
-        lambda z: np.ones_like(np.asarray(z, dtype=complex)),
-        lambda z: np.asarray(z, dtype=complex) ** 2 + 0.3,
-        lambda z: np.zeros_like(np.asarray(z, dtype=complex)),
-        lambda z: 2 * np.asarray(z, dtype=complex),
-    )
-    with pytest.raises(UnsupportedDataError):
-        we_distance_radial(skew, 0.5)
-    with pytest.raises(UnsupportedDataError):
-        surface_metric(skew)
+def test_weierstrass_data_is_checked():
+    for a, b, k in ((0, 1, 2), (1, 1, 1), (1, 1, 2.0), (1, 1, 2.5), (math.inf, 1, 2),
+                    (1, complex(math.nan, 0), 2)):
+        with pytest.raises(DomainError):
+            WeierstrassData("bad", a, b, k)
+
+
+def test_rotated_enneper_is_enneper():
+    # b = e^{i pi/3} has |b| = 1 exactly, so every radial quantity is Enneper's
+    rot, enn = surface_metric(catalog_surface("enneper_rotated")), surface_metric(ENN)
+    s = np.linspace(0.0, 0.99, 100)
+    rho = np.linspace(0.0, enn.rho_max, 101)[:-1]
+    assert rot.rho_max == enn.rho_max
+    for f in ("density", "distance"):
+        assert np.array_equal(getattr(rot, f)(s), getattr(enn, f)(s)), f
+    for f in ("inverse_distance", "G", "G_prime"):
+        assert np.array_equal(getattr(rot, f)(rho[1:]), getattr(enn, f)(rho[1:])), f
+    ring = 0.6 * np.exp(1j * np.linspace(0, 2 * np.pi, 7))
+    assert np.array_equal(we_density(catalog_surface("enneper_rotated"), ring),
+                          we_density(ENN, ring))
 
 
 def test_surface_metric_consistency():
+    from scipy.integrate import quad
+
+    for name, w in CATALOG.items():
+        m = surface_metric(w)
+        for s in (0.2, 0.5, 0.8, 0.99):
+            ref, _ = quad(lambda t: we_density(w, t), 0.0, s)
+            assert float(m.distance(s)) == pytest.approx(ref, abs=1e-12), name
+        rho = np.linspace(0.0, m.rho_max, 257)[:-1]
+        assert np.max(np.abs(m.distance(m.inverse_distance(rho)) - rho)) <= 1e-15
     m = surface_metric(ENN)
-    for s in (0.2, 0.5, 0.8):
-        assert float(m.distance(s)) == pytest.approx(we_distance_radial(ENN, s), abs=1e-9)
     # G at the chart edge approaches 2 (density 2 times radius 1)
     assert m.G(m.rho_max * (1 - 1e-9)) == pytest.approx(2.0, abs=1e-4)
 
@@ -75,7 +89,11 @@ def test_catalog_curvature_negative():
             continue
         m = surface_metric(w)
         s = rng.uniform(0.1, 0.9, 50)
-        assert np.all(np.asarray(gaussian_curvature(m, s)) < 0)
+        a, b, k = abs(w.a), abs(w.b), w.k
+        exact = -a * b * k**2 * s ** (k - 2) / (a + b * s**k) ** 4
+        assert np.all(exact < 0)
+        # the 5-point stencil's round-off, ~eps |log h| / step^2, is a few 1e-8
+        assert np.max(np.abs(gaussian_curvature(m, s) - exact)) < 1e-7, name
 
 
 def test_planar_geodesics_are_straight():
