@@ -73,33 +73,34 @@ class AnnulusGrid:
         return np.exp(self.t)
 
 
+def wrap_pad(F: np.ndarray, k: int) -> np.ndarray:
+    """F with k columns of periodic padding on each side in phi (axis 1)."""
+    return np.concatenate([F[:, -k:], F, F[:, :k]], axis=1)
+
+
 def d_phi(F: np.ndarray, h: float) -> np.ndarray:
     """4th-order centered d/dphi, periodic."""
-    return (
-        -np.roll(F, -2, axis=1) + 8 * np.roll(F, -1, axis=1)
-        - 8 * np.roll(F, 1, axis=1) + np.roll(F, 2, axis=1)
-    ) / (12 * h)
+    P = wrap_pad(F, 2)
+    return (8 * (P[:, 3:-1] - P[:, 1:-3]) - (P[:, 4:] - P[:, :-4])) * (1 / (12 * h))
 
 
 def d_phi2(F: np.ndarray, h: float) -> np.ndarray:
     """4th-order centered d^2/dphi^2, periodic."""
-    return (
-        -np.roll(F, -2, axis=1) + 16 * np.roll(F, -1, axis=1) - 30 * F
-        + 16 * np.roll(F, 1, axis=1) - np.roll(F, 2, axis=1)
-    ) / (12 * h**2)
+    P = wrap_pad(F, 2)
+    return (16 * (P[:, 3:-1] + P[:, 1:-3]) - (P[:, 4:] + P[:, :-4]) - 30 * F) * (1 / (12 * h**2))
 
 
 def d_t(F: np.ndarray, h: float) -> np.ndarray:
     """4th-order centered d/dt; the two rows at each edge are NaN."""
-    out = np.full_like(F, np.nan, dtype=float if not np.iscomplexobj(F) else complex)
-    out[2:-2] = (-F[4:] + 8 * F[3:-1] - 8 * F[1:-3] + F[:-4]) / (12 * h)
+    out = np.full(F.shape, np.nan, np.result_type(F, float))
+    out[2:-2] = (8 * (F[3:-1] - F[1:-3]) - (F[4:] - F[:-4])) * (1 / (12 * h))
     return out
 
 
 def d_t2(F: np.ndarray, h: float) -> np.ndarray:
     """4th-order centered d^2/dt^2; the two rows at each edge are NaN."""
-    out = np.full_like(F, np.nan, dtype=float if not np.iscomplexobj(F) else complex)
-    out[2:-2] = (-F[4:] + 16 * F[3:-1] - 30 * F[2:-2] + 16 * F[1:-3] - F[:-4]) / (12 * h**2)
+    out = np.full(F.shape, np.nan, np.result_type(F, float))
+    out[2:-2] = (16 * (F[3:-1] + F[1:-3]) - (F[4:] + F[:-4]) - 30 * F[2:-2]) * (1 / (12 * h**2))
     return out
 
 
@@ -132,13 +133,16 @@ class AnnulusMap:
             raise DomainError("rho field leaves the metric's distance range")
 
     def chart_field(self) -> np.ndarray:
-        """The complex chart field g(rho) e^{i theta}."""
-        return self.metric.inverse_distance(self.rho) * np.exp(1j * self.theta)
+        """The complex chart field g(rho) e^{i theta}, from cos and sin of theta."""
+        s = self.metric.inverse_distance(self.rho)
+        F = np.empty(self.rho.shape, complex)
+        F.real, F.imag = s * np.cos(self.theta), s * np.sin(self.theta)
+        return F
 
     def winding_numbers(self) -> np.ndarray:
         """Winding of theta along each grid circle, from wrapped increments."""
         d = np.diff(self.theta, axis=1, append=self.theta[:, :1])
-        wrapped = np.angle(np.exp(1j * d))
+        wrapped = d - 2 * np.pi * np.rint(d / (2 * np.pi))
         return np.rint(wrapped.sum(axis=1) / (2 * np.pi)).astype(int)
 
     def diagnostics(self) -> dict:

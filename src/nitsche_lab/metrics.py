@@ -183,10 +183,12 @@ class RotMetric:
         Supremum of valid geodesic radii, d(s_max^-).
     density_prime : callable
         Analytic h'(s), for exact ODE right-hand sides.
-    g_analytic, g_prime_analytic : callable, optional
-        Closed forms for G(rho) and G'(rho) (model metrics).
+    g_analytic, g_prime_analytic, d2g2_analytic : callable, optional
+        Closed forms for G(rho), G'(rho) and (G^2)''(rho) (model metrics).
     bound : CurvatureBound, optional
         The curvature upper bound this metric is analysed under.
+    knots : array, optional
+        Chart radii of a tabulated density's samples (profile metrics).
     """
 
     def __init__(
@@ -199,8 +201,10 @@ class RotMetric:
         density_prime: Callable,
         g_analytic: Callable | None = None,
         g_prime_analytic: Callable | None = None,
+        d2g2_analytic: Callable | None = None,
         bound: CurvatureBound | None = None,
         label: str = "metric",
+        knots: np.ndarray | None = None,
     ):
         self.density = density
         self.distance = distance
@@ -210,8 +214,10 @@ class RotMetric:
         self.density_prime = density_prime
         self._g_analytic = g_analytic
         self._g_prime_analytic = g_prime_analytic
+        self._d2g2_analytic = d2g2_analytic
         self.bound = bound
         self.label = label
+        self.knots = knots
 
     def __repr__(self):
         return f"RotMetric({self.label!r}, rho_max={self.rho_max:.6g})"
@@ -257,8 +263,11 @@ class RotMetric:
         return 2.0 * self.G(rho) * self.G_prime(rho)
 
     def d2G2(self, rho):
-        """Second derivative of G^2, used by the Newton linearisation."""
+        """Second derivative of G^2, used by the Newton linearisation: its closed form
+        when given, else a central difference of :meth:`dG2`."""
         self.check_rho(rho)
+        if self._d2g2_analytic is not None:
+            return self._d2g2_analytic(rho)
         h = 1e-5
         lo = np.maximum(np.asarray(rho, dtype=float) - h, 1e-300)
         hi = np.asarray(rho, dtype=float) + h
@@ -269,11 +278,12 @@ class RotMetric:
 def constant_curvature_metric(bound: CurvatureBound) -> RotMetric:
     """The model metric of constant curvature matching ``bound``.
 
-    The plane has density 1 and G(rho) = rho.  The sphere and the hyperboloid
-    (sigma = +1, -1) have density 2/(kappa (1 + sigma s^2)), distance
-    (2/kappa) atn(s) and G, G' from the sign table.  ``rho_max`` is the
-    largest radius where G, G', their squares and (G^2)' are finite floats,
-    and at most the sphere's antipode pi/kappa.
+    The plane has density 1, G(rho) = rho and (G^2)'' = 2.  The sphere and the
+    hyperboloid (sigma = +1, -1) have density 2/(kappa (1 + sigma s^2)),
+    distance (2/kappa) atn(s), and G, G' and (G^2)'' = 2 cs(2 kappa rho) from
+    the sign table.  ``rho_max`` is the largest radius where G, G', their
+    squares and (G^2)' are finite floats, and at most the sphere's antipode
+    pi/kappa.
     """
     big = float(np.finfo(float).max)
     if bound.sign == ZERO:  # plain lambdas: the scalar RK4 loop calls G and G' at every stage
@@ -286,6 +296,7 @@ def constant_curvature_metric(bound: CurvatureBound) -> RotMetric:
             density_prime=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
             g_analytic=lambda rho: np.asarray(rho, dtype=float),
             g_prime_analytic=lambda rho: np.ones_like(np.asarray(rho, dtype=float)),
+            d2g2_analytic=lambda rho: np.full_like(np.asarray(rho, dtype=float), 2.0),
             bound=bound,
             label="flat",
         )
@@ -308,6 +319,7 @@ def constant_curvature_metric(bound: CurvatureBound) -> RotMetric:
         / (k * (1.0 + sigma * np.asarray(s, dtype=float) ** 2) ** 2),
         g_analytic=lambda rho: sn(k * np.asarray(rho, dtype=float)) / k,
         g_prime_analytic=lambda rho: cs(k * np.asarray(rho, dtype=float)),
+        d2g2_analytic=lambda rho: 2.0 * cs(2.0 * k * np.asarray(rho, dtype=float)),
         bound=bound,
         label=f"{name}(kappa={k:g})",
     )
@@ -352,6 +364,7 @@ def metric_from_profile(samples) -> RotMetric:
         rho_max=float(d_knots[-1]),
         density_prime=density.derivative(),
         label="profile",
+        knots=s,
     )
 
 
@@ -377,11 +390,22 @@ def gaussian_curvature(m: RotMetric, s):
 
 def infer_bound(m: RotMetric) -> CurvatureBound:
     """Estimate an upper curvature bound from the FD curvature at 64 chart radii
-    from 0.1% to 99.9% of the chart radius (10 for an entire-plane chart)."""
+    from 0.1% to 99.9% of the chart radius (10 for an entire-plane chart).
+
+    A tabulated density is read instead at the midpoint of the knot interval
+    holding each radius, where the error that the knot slopes put into h''
+    cancels to first order, and never in its first or last interval, whose
+    one-sided PCHIP end slopes spoil the curvature (a hyperbolic profile reads
+    positive in the last one).
+    """
     if m.bound is not None:
         return m.bound
     edge = m.domain_radius if math.isfinite(m.domain_radius) else 10.0
-    ks = gaussian_curvature(m, np.linspace(edge * 1e-3, edge * (1 - 1e-3), 64))
+    radii = np.linspace(edge * 1e-3, edge * (1 - 1e-3), 64)
+    if m.knots is not None:
+        i = np.clip(np.searchsorted(m.knots, radii) - 1, 1, len(m.knots) - 3)
+        radii = 0.5 * (m.knots[i] + m.knots[i + 1])
+    ks = gaussian_curvature(m, radii)
     sup_k = float(np.max(ks))
     if sup_k > 1e-8:
         return CurvatureBound.positive(math.sqrt(sup_k * (1 + 1e-6)))

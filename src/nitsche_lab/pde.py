@@ -27,32 +27,19 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import DivergenceError, DomainError
-from .grid import AnnulusGrid, AnnulusMap, SolveInfo, d_phi, d_phi2, d_t, d_t2
+from .grid import AnnulusGrid, AnnulusMap, SolveInfo, d_phi, d_phi2, d_t, d_t2, wrap_pad
 from .metrics import CurvatureBound, RotMetric, psi_sharp
 
 NEWTON_TOL = 1e-8  # max residual of the discrete 2-D system at convergence
 NEWTON_MAX_ITER = 50
 
 
-def _log_density_sq_w(m: RotMetric, w: np.ndarray) -> np.ndarray:
-    """d/dw of log h(|w|)^2 = h'(|w|) conj(w) / (h(|w|) |w|)."""
-    s = np.abs(w)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = m.density_prime(s) * np.conj(w) / (m.density(s) * s)
-    return np.where(s > 0, out, 0.0)
-
-
-def _chart_derivatives(f: AnnulusMap):
-    """The chart field F = g(rho) e^{i theta} and its 4th-order f_zeta, f_zetabar."""
+def _hopf_log_chart(f: AnnulusMap) -> np.ndarray:
+    """Log-chart Hopf field h^2(|f|) f_zeta conj(f_zetabar), 4th-order in (t, phi)."""
     g = f.grid
     F = f.chart_field()
     f_t, f_p = d_t(F, g.h_t), d_phi(F, g.h_phi)
-    return F, 0.5 * (f_t - 1j * f_p), 0.5 * (f_t + 1j * f_p)
-
-
-def _hopf_log_chart(f: AnnulusMap) -> np.ndarray:
-    """Log-chart Hopf field h^2(|f|) f_zeta conj(f_zetabar)."""
-    F, f_zeta, f_zetabar = _chart_derivatives(f)
+    f_zeta, f_zetabar = 0.5 * (f_t - 1j * f_p), 0.5 * (f_t + 1j * f_p)
     return f.metric.density(np.abs(F)) ** 2 * f_zeta * np.conj(f_zetabar)
 
 
@@ -63,11 +50,17 @@ def harmonicity_residual(f: AnnulusMap) -> np.ndarray:
     differences in (log r, theta); the two rows nearest each radial boundary
     are NaN (no centered stencil there).
     """
-    g = f.grid
-    F, f_zeta, f_zetabar = _chart_derivatives(f)
-    lap = d_t2(F, g.h_t) + d_phi2(F, g.h_phi)
-    defect_zeta = 0.25 * lap + _log_density_sq_w(f.metric, F) * f_zeta * f_zetabar
-    return np.exp(-2 * g.mesh()[0]) * defect_zeta
+    g, m = f.grid, f.metric
+    F = f.chart_field()
+    f_t, f_p, s = d_t(F, g.h_t), d_phi(F, g.h_phi), np.abs(F)
+    with np.errstate(invalid="ignore", divide="ignore"):  # L = (log h^2)_w = conj(F) h'/(h s)
+        L = np.conj(F) * np.where(s > 0, m.density_prime(s) / (m.density(s) * s), 0.0)
+    # 4 (f_zetazetabar + L f_zeta f_zetabar) = lap F + L (f_t^2 + f_p^2), summed in one buffer
+    defect = d_t2(F, g.h_t)
+    defect += d_phi2(F, g.h_phi)
+    defect += L * (f_t * f_t + f_p * f_p)
+    defect *= 0.25 * np.exp(-2 * g.t)[:, None]
+    return defect
 
 
 def residual_norm(f: AnnulusMap) -> float:
@@ -108,14 +101,15 @@ def laplacian_bound_check(f: AnnulusMap, bound: CurvatureBound | None = None) ->
     g = f.grid
     lap_rho = d_t2(f.rho, g.h_t) + d_phi2(f.rho, g.h_phi)
     # differentiate the periodic part of the lift: theta = phi + u
-    u = f.theta - g.mesh()[1]
+    u = f.theta - g.phi
     grad_theta_sq = d_t(u, g.h_t) ** 2 + (1.0 + d_phi(u, g.h_phi)) ** 2
     return lap_rho - psi_sharp(bound, f.rho) * grad_theta_sq
 
 
 def _neighbours(x: np.ndarray):
     """The (+t, -t, +phi, -phi) neighbours of the interior rows of x, periodic in phi."""
-    return x[2:], x[:-2], np.roll(x, -1, axis=1)[1:-1], np.roll(x, 1, axis=1)[1:-1]
+    p = wrap_pad(x[1:-1], 1)
+    return x[2:], x[:-2], p[:, 2:], p[:, :-2]
 
 
 def _lap5(g: AnnulusGrid, x: np.ndarray) -> np.ndarray:
@@ -129,20 +123,20 @@ def _stencil(g: AnnulusGrid, m: RotMetric, rho: np.ndarray, u: np.ndarray):
 
     ``lap`` is :func:`_lap5` of rho; ``u_t`` and ``theta_p`` the centred
     D_t u and D_phi theta, ``ang = u_t^2 + theta_p^2``; ``dG2`` is (G^2)'(rho)
-    on all rows; ``a`` holds G^2 at the (+t, -t, +phi, -phi) half nodes,
-    ``du_t`` and ``tau`` the one-sided D_t u and D_phi theta at the (+, -) ones.
+    on all rows; ``a_t``, ``du_t`` hold G^2 and the one-sided D_t u at the
+    radial half nodes, ``a_p``, ``tau`` G^2 and D_phi theta at the n_theta + 1
+    angular half nodes of each interior row, read from one phi-padded copy.
     """
     ht, hp = g.h_t, g.h_phi
-    u_tp, u_tm, u_pp, u_pm = _neighbours(u)
     a = np.asarray(m.G(rho)) ** 2
-    u_t = (u_tp - u_tm) / (2 * ht)
-    theta_p = 1.0 + (u_pp - u_pm) / (2 * hp)
+    a_p, u_p = wrap_pad(a[1:-1], 1), wrap_pad(u[1:-1], 1)
+    u_t = (u[2:] - u[:-2]) / (2 * ht)
+    theta_p = 1.0 + (u_p[:, 2:] - u_p[:, :-2]) / (2 * hp)
     return SimpleNamespace(
         lap=_lap5(g, rho), u_t=u_t, theta_p=theta_p, ang=u_t**2 + theta_p**2,
         dG2=np.asarray(m.dG2(rho)),
-        a=tuple(0.5 * (a[1:-1] + a_k) for a_k in _neighbours(a)),
-        du_t=((u_tp - u[1:-1]) / ht, (u[1:-1] - u_tm) / ht),
-        tau=(1.0 + (u_pp - u[1:-1]) / hp, 1.0 + (u[1:-1] - u_pm) / hp),
+        a_t=0.5 * (a[:-1] + a[1:]), a_p=0.5 * (a_p[:, :-1] + a_p[:, 1:]),
+        du_t=(u[1:] - u[:-1]) / ht, tau=1.0 + (u_p[:, 1:] - u_p[:, :-1]) / hp,
     )
 
 
@@ -220,17 +214,19 @@ def _damped_newton(residual, newton_step, x: np.ndarray, tol: float, max_iter: i
 def _radial_discrete_profile(m: RotMetric, rho1: float, rho2: float,
                              t: np.ndarray) -> np.ndarray:
     """Solve the 1-D discrete two-point problem D_tt rho = rhs(rho) by Newton, to 1e-12."""
+    from scipy.linalg import solve_banded
+
     h = t[1] - t[0]
 
     def residual(rho):  # None outside the metric range
         if np.all(rho < m.rho_max) and np.all(rho > 0):
             return (rho[2:] - 2 * rho[1:-1] + rho[:-2]) / h**2 - 0.5 * np.asarray(m.dG2(rho[1:-1]))
 
-    def newton_step(rho, F):
-        diag = -2 / h**2 - 0.5 * np.asarray(m.d2G2(rho[1:-1]))
-        off = np.full(len(t) - 3, 1 / h**2)
+    def newton_step(rho, F):  # tridiagonal; unchecked, so a non-finite step fails the search
+        ab = np.full((3, len(t) - 2), 1 / h**2)
+        ab[1] = -2 / h**2 - 0.5 * np.asarray(m.d2G2(rho[1:-1]))
         step = np.zeros_like(rho)
-        step[1:-1] = spla.spsolve(sp.diags([off, diag, off], offsets=[-1, 0, 1], format="csc"), -F)
+        step[1:-1] = solve_banded((1, 1), ab, -F, check_finite=False)
         return step
 
     rho = rho1 + (rho2 - rho1) * (t - t[0]) / (t[-1] - t[0])
@@ -238,19 +234,19 @@ def _radial_discrete_profile(m: RotMetric, rho1: float, rho2: float,
 
 
 def _system_residual(g: AnnulusGrid, m: RotMetric, rho: np.ndarray, u: np.ndarray):
-    """Residuals (F1, F2) of the 2nd-order discrete system on interior rows."""
+    """Residuals (F1, F2) of the 2nd-order discrete system on interior rows, one array."""
     s = _stencil(g, m, rho, u)
-    (a_tp, a_tm, a_pp, a_pm), (du_tp, du_tm), (tau_p, tau_m) = s.a, s.du_t, s.tau
-    F1 = s.lap - 0.5 * s.dG2[1:-1] * s.ang
-    F2 = (a_tp * du_tp - a_tm * du_tm) / g.h_t + (a_pp * tau_p - a_pm * tau_m) / g.h_phi
-    return F1, F2
+    q_t, q_p = s.a_t * s.du_t, s.a_p * s.tau  # G^2-weighted fluxes through the half nodes
+    return np.stack([s.lap - 0.5 * s.dG2[1:-1] * s.ang,
+                     (q_t[1:] - q_t[:-1]) / g.h_t + (q_p[:, 1:] - q_p[:, :-1]) / g.h_phi])
 
 
 def _assemble_jacobian(g: AnnulusGrid, m: RotMetric, rho: np.ndarray, u: np.ndarray):
     """Sparse Jacobian of (F1, F2) w.r.t. interior (rho, u): four 5-point blocks."""
     ht, hp = g.h_t, g.h_phi
     s = _stencil(g, m, rho, u)
-    (a_tp, a_tm, a_pp, a_pm), (du_tp, du_tm), (tau_p, tau_m) = s.a, s.du_t, s.tau
+    a_tp, a_tm, a_pp, a_pm = s.a_t[1:], s.a_t[:-1], s.a_p[:, 1:], s.a_p[:, :-1]
+    du_tp, du_tm, tau_p, tau_m = s.du_t[1:], s.du_t[:-1], s.tau[:, 1:], s.tau[:, :-1]
     N = (g.n_r - 2) * g.n_theta
     # interior unknowns numbered row by row; the -1 boundary rows drop out
     index = np.pad(np.arange(N).reshape(-1, g.n_theta), ((1, 1), (0, 0)), constant_values=-1)
@@ -303,7 +299,7 @@ def solve_dirichlet(grid: AnnulusGrid, m: RotMetric, rho1: float, rho2: float,
 
     def residual(x):  # None outside the metric range
         if np.all(x[0] > 0) and np.all(x[0] < m.rho_max):
-            return np.stack(_system_residual(grid, m, *x))
+            return _system_residual(grid, m, *x)
 
     def newton_step(x, F):
         step = np.zeros_like(x)
@@ -316,4 +312,4 @@ def solve_dirichlet(grid: AnnulusGrid, m: RotMetric, rho1: float, rho2: float,
         raise DivergenceError(f"Newton stopped at residual {history[-1]:.3e} > {NEWTON_TOL:.1e} "
                               f"after {len(history) - 1} iterations")
     info = SolveInfo(len(history) - 1, history)
-    return AnnulusMap(grid=grid, rho=x[0], theta=grid.mesh()[1] + x[1], metric=m, info=info)
+    return AnnulusMap(grid=grid, rho=x[0], theta=grid.phi + x[1], metric=m, info=info)

@@ -22,9 +22,12 @@ from nitsche_lab import (
     solve_dirichlet,
     surface_metric,
 )
+from nitsche_lab.grid import d_phi, d_phi2
 from nitsche_lab.pde import (
-    _assemble_jacobian, _radial_discrete_profile, _stencil, _system_residual, green_stations,
+    _assemble_jacobian, _neighbours, _radial_discrete_profile, _stencil, _system_residual,
+    green_stations,
 )
+from nitsche_lab.report import verify_end_to_end
 
 FLAT = constant_curvature_metric(CurvatureBound.zero())
 HYP = constant_curvature_metric(CurvatureBound.negative(1.0))
@@ -178,6 +181,91 @@ def test_warm_start_profile_ends_without_a_long_failed_search(monkeypatch, m, rh
     assert np.max(np.abs(profile - reference)) <= 1e-12
     # a full 30-halving search that fails costs 30 dG2 calls on its own
     assert len(calls) < 30
+
+
+def _roll_d_phi(F, h):
+    return (-np.roll(F, -2, axis=1) + 8 * np.roll(F, -1, axis=1)
+            - 8 * np.roll(F, 1, axis=1) + np.roll(F, 2, axis=1)) / (12 * h)
+
+
+def _roll_d_phi2(F, h):
+    return (-np.roll(F, -2, axis=1) + 16 * np.roll(F, -1, axis=1) - 30 * F
+            + 16 * np.roll(F, 1, axis=1) - np.roll(F, 2, axis=1)) / (12 * h**2)
+
+
+def test_wrap_padded_stencils_match_np_roll():
+    rng = np.random.default_rng(3)
+    h = 2 * np.pi / 48
+    fields = [rng.normal(size=(20, 48)),
+              rng.normal(size=(20, 48)) + 1j * rng.normal(size=(20, 48)),
+              rng.integers(-1000, 1000, size=(20, 48))]
+    for F in fields:
+        for new, old in ((d_phi(F, h), _roll_d_phi(F, h)), (d_phi2(F, h), _roll_d_phi2(F, h))):
+            assert new.dtype == old.dtype
+            assert np.max(np.abs(new - old)) <= 1e-13 * np.max(np.abs(old))
+        rolled = (F[2:], F[:-2], np.roll(F, -1, axis=1)[1:-1], np.roll(F, 1, axis=1)[1:-1])
+        for new, old in zip(_neighbours(F), rolled):
+            assert new.dtype == old.dtype and np.array_equal(new, old)
+
+
+@pytest.mark.parametrize("winding", [0, 1, 2])
+@pytest.mark.parametrize("jump", [np.pi, -np.pi, np.pi - 1e-12, -(np.pi - 1e-12)])
+def test_winding_numbers_with_a_half_turn_increment(winding, jump):
+    grid = AnnulusGrid(0.5, 1.0, 16, 64)
+    steps = np.full(grid.n_theta, (2 * np.pi * winding - jump) / (grid.n_theta - 1))
+    steps[0] = jump  # theta[1] - theta[0] is exactly the jump
+    row = np.concatenate([[0.0], np.cumsum(steps[:-1])])
+    theta = np.repeat(row[None, :], grid.n_r, axis=0)
+    f = AnnulusMap(grid=grid, rho=np.full_like(theta, 0.7), theta=theta, metric=FLAT)
+    assert np.all(f.winding_numbers() == winding)
+    d = np.diff(theta, axis=1, append=theta[:, :1])
+    reference = np.rint(np.angle(np.exp(1j * d)).sum(axis=1) / (2 * np.pi)).astype(int)
+    assert np.array_equal(f.winding_numbers(), reference)
+
+
+def test_warm_verify_reaches_no_sparse_factorisation(monkeypatch):
+    import scipy.sparse
+    import scipy.sparse.linalg
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sparse matrix was built or factorised on the warm path")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "spsolve", refuse)
+    monkeypatch.setattr(scipy.sparse, "diags", refuse)
+    for m, rho1, rho2, T in ((FLAT, 0.8, 1.0, math.log(2)), (HYP, 0.5, 1.0, 0.6),
+                             (SPH, 0.5, 1.2, 0.5)):
+        report = verify_end_to_end(m, 1.0, math.exp(T), rho1, rho2, n_r=64, n_theta=64)
+        assert report.provenance["newton_iterations"] == 0
+        assert all(block["ok"] for block in report.subchecks.values())
+
+
+@pytest.mark.parametrize("m, rho1, rho2, T", [(FLAT, 0.8, 1.0, math.log(2)),
+                                              (HYP, 0.5, 1.0, 0.6), (SPH, 0.5, 1.2, 0.5)])
+def test_banded_warm_start_step_matches_a_dense_solve(monkeypatch, m, rho1, rho2, T):
+    from nitsche_lab import pde
+
+    steps = []
+    damped_newton = pde._damped_newton
+
+    def spy(residual, newton_step, x, tol, max_iter):
+        def checked_step(rho, F):  # the 1-D step against the dense tridiagonal solve
+            h, off = grid.h_t, np.full(len(rho) - 3, 1 / grid.h_t**2)
+            A = np.diag(off, 1) + np.diag(off, -1)
+            A += np.diag(-2 / h**2 - 0.5 * np.asarray(m.d2G2(rho[1:-1])))
+            step = newton_step(rho, F)
+            steps.append((step[1:-1], np.linalg.solve(A, -F)))
+            return step
+        return damped_newton(residual, checked_step if x.ndim == 1 else newton_step,
+                             x, tol, max_iter)
+
+    monkeypatch.setattr(pde, "_damped_newton", spy)
+    for n in (64, 128):
+        grid = AnnulusGrid(1.0, math.exp(T), n, n)
+        f = solve_dirichlet(grid, m, rho1, rho2)
+        assert f.info.iterations == 0
+    assert steps
+    for banded, dense in steps:
+        assert np.max(np.abs(banded - dense)) <= 1e-13
 
 
 def test_constant_boundary_circle_map_satisfies_discrete_equation():

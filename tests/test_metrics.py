@@ -257,6 +257,37 @@ def test_infer_bound_from_sampled_model_densities():
         assert bound.value >= curvature
 
 
+def test_infer_bound_skips_the_last_profile_interval():
+    # the PCHIP density's last knot interval reads positive curvature on a hyperbolic profile
+    s = np.linspace(0.0, 0.99, 200)
+    bound = infer_bound(metric_from_profile(np.c_[s, 2 / (1 - s**2)]))
+    assert bound.sign == "negative"
+    assert bound.kappa == pytest.approx(1.0, rel=1e-2)
+
+
+@pytest.mark.parametrize("bound", [FLAT, NEG, CurvatureBound.negative(0.3),
+                                   CurvatureBound.negative(2.5), POS,
+                                   CurvatureBound.positive(0.4), CurvatureBound.positive(1.7)])
+def test_model_d2G2_closed_form(bound):
+    import copy
+
+    import sympy
+
+    m = constant_curvature_metric(bound)
+    rho = np.array([0.05, 0.3, 0.7, 0.95]) * min(bound.cap, 2.0)
+    kappa = bound.kappa or 1.0
+    # the finite difference that every other metric keeps
+    fd = copy.copy(m)
+    fd._d2g2_analytic = None
+    assert np.allclose(m.d2G2(rho), fd.d2G2(rho), rtol=1e-6, atol=0)
+    # sympy's second derivative of G^2 = sn(kappa rho)^2 / kappa^2
+    r, k = sympy.symbols("r k", positive=True)
+    sn = {"negative": sympy.sinh, "zero": lambda x: x, "positive": sympy.sin}[bound.sign]
+    exact = sympy.lambdify((r, k), sympy.diff(sn(k * r) ** 2 / k**2, r, 2), "mpmath")
+    want = np.array([float(exact(sympy.Float(x, 30), sympy.Float(kappa, 30))) for x in rho])
+    assert np.allclose(m.d2G2(rho), want, rtol=1e-13, atol=0)
+
+
 def test_load_metric_rejects_malformed_descriptions():
     for bad in ("3", "[]", "null", '"constant"', "{}", '{"kind": ["constant"]}',
                 '{"kind": "cone"}', '{"kind": "constant"}', '{"kind": "profile"}',
