@@ -35,6 +35,8 @@ class AnnulusGrid:
             raise DomainError("need 0 < r1 < r2 with r2/r1 a finite float")
         if self.n_r < 16 or self.n_theta < 32:
             raise DomainError("need n_r >= 16 and n_theta >= 32")
+        if not np.all(np.diff(self.t) > 0):
+            raise DomainError(f"r1 and r2 are too close to carry {self.n_r} distinct circles")
 
     @property
     def modulus(self) -> float:
@@ -106,6 +108,8 @@ def d_t2(F: np.ndarray, h: float) -> np.ndarray:
 
 @dataclass
 class SolveInfo:
+    """Banded Newton steps on the radial line, and max|F| per iterate (the last: 2-D)."""
+
     iterations: int
     residual_history: list[float]
 
@@ -129,8 +133,9 @@ class AnnulusMap:
         shape = (self.grid.n_r, self.grid.n_theta)
         if self.rho.shape != shape or self.theta.shape != shape:
             raise DomainError(f"field shape must be {shape}")
-        if np.any(self.rho < 0) or np.any(self.rho >= self.metric.rho_max):
-            raise DomainError("rho field leaves the metric's distance range")
+        self.metric.check_rho(self.rho)
+        if not np.all(np.isfinite(self.theta)):
+            raise DomainError("theta field must be finite")
 
     def chart_field(self) -> np.ndarray:
         """The complex chart field g(rho) e^{i theta}, from cos and sin of theta."""

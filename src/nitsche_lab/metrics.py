@@ -233,8 +233,9 @@ class RotMetric:
     def check_annulus(self, rho1: float, rho2: float) -> None:
         """The one gate for radial data: admit A(rho1, rho2) or raise DomainError.
 
-        :class:`GeodesicAnnulus` checks 0 < rho1 < rho2 < inf and, for a positive
-        bound, the cap; rho2 must lie in the distance range and G'(rho1) > 0.
+        :class:`GeodesicAnnulus` checks 0 < rho1 < rho2 with rho2/rho1 finite and,
+        for a positive bound, the cap; rho2 must lie in the distance range and
+        G'(rho1) > 0.
         """
         GeodesicAnnulus(rho1, rho2, self.bound or CurvatureBound.zero())
         self.check_rho(rho2)
@@ -427,8 +428,8 @@ class GeodesicAnnulus:
     bound: CurvatureBound
 
     def __post_init__(self):
-        if not (0 < self.rho1 < self.rho2 < math.inf):
-            raise DomainError("need 0 < rho1 < rho2 < inf")
+        if not (0 < self.rho1 < self.rho2 and self.rho2 / self.rho1 < math.inf):
+            raise DomainError("need 0 < rho1 < rho2 with rho2/rho1 a finite float")
         if self.rho2 > self.bound.cap + 1e-15:
             raise DomainError(
                 f"outer radius {self.rho2:.6g} exceeds the admissible cap "

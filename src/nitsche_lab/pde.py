@@ -8,11 +8,12 @@ equation splits into the coupled real system::
     rho_tt + rho_pp = (1/2) d(G^2)/d rho * (theta_t^2 + theta_p^2)
     d/dt (G^2 theta_t) + d/dp (G^2 theta_p) = 0
 
-which is solved by a damped Newton iteration on the 2nd-order stencil, while
-the complex-form defect ``f_{z zbar} + (log p^2)_w f_z f_zbar`` is evaluated
-independently (4th-order stencils) as a cross-check, together with the Hopf
-differential, the pointwise Laplacian lower bound, and the Green's-formula
-flux/area chain.
+With symmetric boundary data the 2nd-order 5-point system is the radial
+line row by row, so the grid solve is that line, solved by a banded damped
+Newton iteration and checked against the 2-D residual.  The complex-form
+defect ``f_{z zbar} + (log p^2)_w f_z f_zbar`` is evaluated independently
+(4th-order stencils) as a cross-check, together with the Hopf differential,
+the pointwise Laplacian lower bound, and the Green's-formula flux/area chain.
 """
 
 from __future__ import annotations
@@ -20,18 +21,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import DivergenceError, DomainError
 from .grid import AnnulusGrid, AnnulusMap, SolveInfo, d_phi, d_phi2, d_t, d_t2, wrap_pad
 from .metrics import CurvatureBound, RotMetric, psi_sharp
 
-NEWTON_TOL = 1e-8  # max residual of the discrete 2-D system at convergence
-NEWTON_MAX_ITER = 50
+NEWTON_TOL = 1e-8  # max residual of the discrete 2-D system at an accepted field
 
 
 def _hopf_log_chart(f: AnnulusMap) -> np.ndarray:
@@ -118,28 +115,6 @@ def _lap5(g: AnnulusGrid, x: np.ndarray) -> np.ndarray:
     return (x_tp - 2 * x[1:-1] + x_tm) / g.h_t**2 + (x_pp - 2 * x[1:-1] + x_pm) / g.h_phi**2
 
 
-def _stencil(g: AnnulusGrid, m: RotMetric, rho: np.ndarray, u: np.ndarray):
-    """2nd-order 5-point state of (rho, u = theta - phi) on the interior rows.
-
-    ``lap`` is :func:`_lap5` of rho; ``u_t`` and ``theta_p`` the centred
-    D_t u and D_phi theta, ``ang = u_t^2 + theta_p^2``; ``dG2`` is (G^2)'(rho)
-    on all rows; ``a_t``, ``du_t`` hold G^2 and the one-sided D_t u at the
-    radial half nodes, ``a_p``, ``tau`` G^2 and D_phi theta at the n_theta + 1
-    angular half nodes of each interior row, read from one phi-padded copy.
-    """
-    ht, hp = g.h_t, g.h_phi
-    a = np.asarray(m.G(rho)) ** 2
-    a_p, u_p = wrap_pad(a[1:-1], 1), wrap_pad(u[1:-1], 1)
-    u_t = (u[2:] - u[:-2]) / (2 * ht)
-    theta_p = 1.0 + (u_p[:, 2:] - u_p[:, :-2]) / (2 * hp)
-    return SimpleNamespace(
-        lap=_lap5(g, rho), u_t=u_t, theta_p=theta_p, ang=u_t**2 + theta_p**2,
-        dG2=np.asarray(m.dG2(rho)),
-        a_t=0.5 * (a[:-1] + a[1:]), a_p=0.5 * (a_p[:, :-1] + a_p[:, 1:]),
-        du_t=(u[1:] - u[:-1]) / ht, tau=1.0 + (u_p[:, 1:] - u_p[:, :-1]) / hp,
-    )
-
-
 @dataclass
 class GreenChain:
     """Flux/area pair of the Green identity on {r1 <= |z| <= sigma}."""
@@ -189,9 +164,9 @@ def _damped_newton(residual, newton_step, x: np.ndarray, tol: float, max_iter: i
     ``newton_step(x, F)`` is the full step, shaped like x.  It is halved (at
     most 30 times) until an admissible trial lowers max|F|; a trial that
     rounds back to x ends the search, since every shorter one does too.
-    Returns (x, history of max|F|, converged), stopping once max|F| <= tol,
-    at a max|F| that is not finite (an inadmissible start counts as inf), at
-    the first failed search, or after ``max_iter`` steps.
+    Returns (x, history of max|F|), stopping once max|F| <= tol, at a max|F|
+    that is not finite (an inadmissible start counts as inf), at the first
+    failed search, or after ``max_iter`` steps.
     """
     F = residual(x)
     history = [math.inf if F is None else float(np.max(np.abs(F)))]
@@ -200,20 +175,24 @@ def _damped_newton(residual, newton_step, x: np.ndarray, tol: float, max_iter: i
         for k in range(30):
             trial = x + 0.5**k * dx
             if np.array_equal(trial, x):
-                return x, history, False
+                return x, history
             F_trial = residual(trial)
             if F_trial is not None and np.max(np.abs(F_trial)) < history[-1]:
                 break
         else:
-            return x, history, False
+            return x, history
         x, F = trial, F_trial
         history.append(float(np.max(np.abs(F))))
-    return x, history, history[-1] <= tol
+    return x, history
 
 
-def _radial_discrete_profile(m: RotMetric, rho1: float, rho2: float,
-                             t: np.ndarray) -> np.ndarray:
-    """Solve the 1-D discrete two-point problem D_tt rho = rhs(rho) by Newton, to 1e-12."""
+def _radial_discrete_profile(m: RotMetric, rho1: float, rho2: float, t: np.ndarray):
+    """Solve the 1-D discrete two-point problem D_tt rho = rhs(rho) by Newton.
+
+    Returns the line and the max|F| history of its banded damped-Newton loop,
+    which aims at 1e-12 and ends where round-off stops the steps (about 1e-11
+    at 128 nodes).
+    """
     from scipy.linalg import solve_banded
 
     h = t[1] - t[0]
@@ -230,86 +209,49 @@ def _radial_discrete_profile(m: RotMetric, rho1: float, rho2: float,
         return step
 
     rho = rho1 + (rho2 - rho1) * (t - t[0]) / (t[-1] - t[0])
-    return _damped_newton(residual, newton_step, rho, 1e-12, 80)[0]
+    return _damped_newton(residual, newton_step, rho, 1e-12, 80)
 
 
 def _system_residual(g: AnnulusGrid, m: RotMetric, rho: np.ndarray, u: np.ndarray):
-    """Residuals (F1, F2) of the 2nd-order discrete system on interior rows, one array."""
-    s = _stencil(g, m, rho, u)
-    q_t, q_p = s.a_t * s.du_t, s.a_p * s.tau  # G^2-weighted fluxes through the half nodes
-    return np.stack([s.lap - 0.5 * s.dG2[1:-1] * s.ang,
-                     (q_t[1:] - q_t[:-1]) / g.h_t + (q_p[:, 1:] - q_p[:, :-1]) / g.h_phi])
+    """Residuals (F1, F2) of the 2nd-order discrete system on interior rows, one array.
 
-
-def _assemble_jacobian(g: AnnulusGrid, m: RotMetric, rho: np.ndarray, u: np.ndarray):
-    """Sparse Jacobian of (F1, F2) w.r.t. interior (rho, u): four 5-point blocks."""
+    F1 is the 5-point lap(rho) minus (1/2)(G^2)'(rho) |grad theta|^2 from centred
+    differences of u = theta - phi; F2 differences the G^2-weighted fluxes through
+    the half nodes, G^2 averaged there from one phi-padded copy.
+    """
     ht, hp = g.h_t, g.h_phi
-    s = _stencil(g, m, rho, u)
-    a_tp, a_tm, a_pp, a_pm = s.a_t[1:], s.a_t[:-1], s.a_p[:, 1:], s.a_p[:, :-1]
-    du_tp, du_tm, tau_p, tau_m = s.du_t[1:], s.du_t[:-1], s.tau[:, 1:], s.tau[:, :-1]
-    N = (g.n_r - 2) * g.n_theta
-    # interior unknowns numbered row by row; the -1 boundary rows drop out
-    index = np.pad(np.arange(N).reshape(-1, g.n_theta), ((1, 1), (0, 0)), constant_values=-1)
-    cols = np.stack([index[1:-1], *_neighbours(index)], axis=-1).reshape(N, 5)
-    keep = cols >= 0
-    ij = (np.nonzero(keep)[0], cols[keep])
-
-    def block(*coeffs):  # (centre, +t, -t, +phi, -phi)
-        vals = np.stack(np.broadcast_arrays(*coeffs), axis=-1).reshape(N, 5)
-        return sp.coo_matrix((vals[keep], ij), shape=(N, N))
-
-    dG2 = s.dG2[1:-1]
-    dG2_tp, dG2_tm, dG2_pp, dG2_pm = _neighbours(s.dG2)
-    return sp.bmat([
-        [block(-2 / ht**2 - 2 / hp**2 - 0.5 * np.asarray(m.d2G2(rho[1:-1])) * s.ang,
-               1 / ht**2, 1 / ht**2, 1 / hp**2, 1 / hp**2),
-         block(0.0, -dG2 * s.u_t / (2 * ht), dG2 * s.u_t / (2 * ht),
-               -dG2 * s.theta_p / (2 * hp), dG2 * s.theta_p / (2 * hp))],
-        # d F2 / d rho through a = G^2(rho); half-node values average the nodes
-        [block(0.5 * dG2 * (du_tp / ht - du_tm / ht + tau_p / hp - tau_m / hp),
-               0.5 * dG2_tp * du_tp / ht, -0.5 * dG2_tm * du_tm / ht,
-               0.5 * dG2_pp * tau_p / hp, -0.5 * dG2_pm * tau_m / hp),
-         block(-(a_tp + a_tm) / ht**2 - (a_pp + a_pm) / hp**2,
-               a_tp / ht**2, a_tm / ht**2, a_pp / hp**2, a_pm / hp**2)],
-    ], format="csc")
+    a = np.asarray(m.G(rho)) ** 2
+    a_p, u_p = wrap_pad(a[1:-1], 1), wrap_pad(u[1:-1], 1)
+    u_t = (u[2:] - u[:-2]) / (2 * ht)
+    theta_p = 1.0 + (u_p[:, 2:] - u_p[:, :-2]) / (2 * hp)
+    q_t = 0.5 * (a[:-1] + a[1:]) * ((u[1:] - u[:-1]) / ht)
+    q_p = 0.5 * (a_p[:, :-1] + a_p[:, 1:]) * (1.0 + (u_p[:, 1:] - u_p[:, :-1]) / hp)
+    return np.stack([_lap5(g, rho) - 0.5 * np.asarray(m.dG2(rho))[1:-1] * (u_t**2 + theta_p**2),
+                     (q_t[1:] - q_t[:-1]) / ht + (q_p[:, 1:] - q_p[:, :-1]) / hp])
 
 
-def solve_dirichlet(grid: AnnulusGrid, m: RotMetric, rho1: float, rho2: float,
-                    warm_start: bool = True) -> AnnulusMap:
-    """Damped-Newton solution of the discrete map equation with symmetric data.
+def solve_dirichlet(grid: AnnulusGrid, m: RotMetric, rho1: float, rho2: float) -> AnnulusMap:
+    """The discrete map with symmetric data: the radial line, checked on the grid.
 
     Boundary data: rho = rho1 on |z| = r1, rho = rho2 on |z| = r2, and
     theta = arg z on both circles, admitted by :meth:`RotMetric.check_annulus`.
-    Terminates when the max residual of the discrete system falls below
-    ``NEWTON_TOL``; raises :class:`DivergenceError` at the first failed line
-    search or after ``NEWTON_MAX_ITER`` steps.  The returned map carries a
-    :class:`SolveInfo`.
-
-    ``warm_start=True`` seeds Newton with the 1-D discrete radial solution
-    (the exact answer for symmetric data); ``False`` starts from the linear
-    interpolant, forcing the full 2-D iteration.
+    At a phi-independent rho with theta = phi the 2-D system is the 1-D
+    radial one row by row (F2 vanishes, F1 is the line's residual), so the
+    line of :func:`_radial_discrete_profile` is broadcast to the grid and
+    accepted when the max residual of the 2-D system is at most
+    ``NEWTON_TOL``; otherwise :class:`DivergenceError`.  The returned map
+    carries a :class:`SolveInfo` of the banded Newton loop whose last history
+    entry is that 2-D residual.
     """
     m.check_annulus(rho1, rho2)
-    if warm_start:
-        rho_line = _radial_discrete_profile(m, rho1, rho2, grid.t)
-    else:
-        rho_line = rho1 + (rho2 - rho1) * (grid.t - grid.t[0]) / grid.modulus
-    x = np.zeros((2, grid.n_r, grid.n_theta))  # rho and u = theta - phi
-    x[0] = rho_line[:, None]
-
-    def residual(x):  # None outside the metric range
-        if np.all(x[0] > 0) and np.all(x[0] < m.rho_max):
-            return _system_residual(grid, m, *x)
-
-    def newton_step(x, F):
-        step = np.zeros_like(x)
-        step[:, 1:-1] = spla.spsolve(_assemble_jacobian(grid, m, *x),
-                                     -F.ravel()).reshape(2, grid.n_r - 2, -1)
-        return step
-
-    x, history, converged = _damped_newton(residual, newton_step, x, NEWTON_TOL, NEWTON_MAX_ITER)
-    if not converged:
-        raise DivergenceError(f"Newton stopped at residual {history[-1]:.3e} > {NEWTON_TOL:.1e} "
-                              f"after {len(history) - 1} iterations")
-    info = SolveInfo(len(history) - 1, history)
-    return AnnulusMap(grid=grid, rho=x[0], theta=grid.phi + x[1], metric=m, info=info)
+    rho_line, history = _radial_discrete_profile(m, rho1, rho2, grid.t)
+    rho = np.repeat(rho_line[:, None], grid.n_theta, axis=1)
+    u = np.zeros_like(rho)
+    residual = math.inf  # an inadmissible line has no residual
+    if np.all(rho_line > 0) and np.all(rho_line < m.rho_max):
+        residual = float(np.max(np.abs(_system_residual(grid, m, rho, u))))
+    if not residual <= NEWTON_TOL:
+        raise DivergenceError(f"the radial line leaves the 2-D system at residual {residual:.3e} "
+                              f"> {NEWTON_TOL:.1e} after {len(history) - 1} banded Newton steps")
+    info = SolveInfo(len(history) - 1, history[:-1] + [residual])
+    return AnnulusMap(grid=grid, rho=rho, theta=grid.phi + u, metric=m, info=info)

@@ -224,8 +224,8 @@ def verify_end_to_end(metric: RotMetric, r1: float, r2: float,
             "metric": metric.label,
             "bound": (bound.sign, bound.kappa),
             "orientation_swapped_via_inversion": swapped,
-            "newton_iterations": f.info.iterations if f.info else None,
-            "final_system_residual": f.info.residual_history[-1] if f.info else None,
+            "newton_iterations": f.info.iterations,
+            "final_system_residual": f.info.residual_history[-1],
             "config": config_hash(
                 {
                     "metric": metric.label,

@@ -3,17 +3,21 @@
 Every argument list ends in 0 (pass), 2 (mathematical fail), 3 (numerical
 failure) or 4 (invalid input); none raises.  The fuzzed lists start from a
 valid call of each subcommand, then drop options, replace values with
-malformed ones and add options that belong to other subcommands.
+malformed ones and add options that belong to other subcommands.  Below
+the CLI, the radius gates give JSON-clean output or a ``DomainError``
+(exit 4) for radii anywhere in the positive float range.
 """
 
 import json
 import os
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nitsche_lab import AnnulusGrid, CurvatureBound, DomainError, check_bound, modulus_circular
 from nitsche_lab.cli import main
 
 FLAT = json.dumps({"kind": "constant", "sign": "zero"})
@@ -159,6 +163,8 @@ def test_extreme_numbers_keep_the_contract(capsys):
         assert main(["solve-map", *flat, "--rho2", "1.0", "--r1", "0.5", "--r2", "1e308",
                      "--nr", "16", "--ntheta", "32", "--quiet"]) == 4
         assert main(["modulus", "--domain", "circular", "0.5", "1e308", "--quiet"]) == 4
+        assert main(["check-bound", "--sign", "zero", "--rho1", "5e-324", "--rho2", "1e-10",
+                     "--mod", "0.5", "--quiet"]) == 4
         assert main(["check-bound", "--sign", "zero", "--rho1", "9e307", "--rho2", "1e308",
                      "--mod", "1", "--quiet"]) == 4
     err = capsys.readouterr().err
@@ -175,3 +181,34 @@ def test_extreme_numbers_keep_the_contract(capsys):
                      "--rho2", "1.0", "--mod", "1.0", "--quiet"]) == 2
     assert capsys.readouterr().err == ""
 
+
+POSITIVE_FLOATS = st.floats(min_value=5e-324, max_value=1.7976931348623157e308)
+
+
+@settings(max_examples=300, deadline=None)
+@given(r1=POSITIVE_FLOATS, r2=POSITIVE_FLOATS, n_r=st.integers(16, 256),
+       mod=st.floats(1e-3, 1e3), kappa=st.floats(1e-3, 1e3))
+@example(r1=5e-324, r2=1e-10, n_r=16, mod=0.5, kappa=1.0)  # the ratio overflows
+@example(r1=1e300, r2=1e300 * (1 + 1e-13), n_r=16, mod=0.5, kappa=1.0)  # t steps round away
+def test_radii_over_the_float_range_give_clean_json_or_a_domain_error(r1, r2, n_r, mod, kappa):
+    def clean(payload):
+        json.dumps(payload, allow_nan=False)
+
+    try:
+        grid = AnnulusGrid(r1, r2, n_r, 32)
+    except DomainError:
+        pass
+    else:
+        t = grid.t
+        assert np.all(np.isfinite(t)) and np.all(np.diff(t) > 0)
+        clean({"t": t.tolist(), "modulus": grid.modulus, "h_t": grid.h_t,
+               "eps_grid": grid.eps_grid})
+    try:
+        clean(modulus_circular(r1, r2))
+    except DomainError:
+        pass
+    for bound in (CurvatureBound.zero(), CurvatureBound.positive(kappa)):
+        try:
+            clean(check_bound(bound, r1, r2, mod).to_dict())
+        except DomainError:
+            pass

@@ -23,15 +23,18 @@ from nitsche_lab import (
     surface_metric,
 )
 from nitsche_lab.grid import d_phi, d_phi2
+from nitsche_lab.metrics import metric_from_profile
 from nitsche_lab.pde import (
-    _assemble_jacobian, _neighbours, _radial_discrete_profile, _stencil, _system_residual,
-    green_stations,
+    NEWTON_TOL, _lap5, _neighbours, _radial_discrete_profile, _system_residual, green_stations,
 )
 from nitsche_lab.report import verify_end_to_end
 
 FLAT = constant_curvature_metric(CurvatureBound.zero())
 HYP = constant_curvature_metric(CurvatureBound.negative(1.0))
 SPH = constant_curvature_metric(CurvatureBound.positive(1.0))
+ENNEPER = surface_metric(catalog_surface("enneper"))
+_S = np.linspace(0.0, 0.9, 200)
+PROFILE = metric_from_profile(np.column_stack([_S, 2 / (1 - _S**2)]))  # the hyperbolic disk
 
 
 def _critical_flat_map(n_r, n_theta, r1=0.5, r2=1.0):
@@ -46,9 +49,19 @@ def test_grid_validation():
         AnnulusGrid(0.5, 1.0, 8, 64)
     with pytest.raises(DomainError, match="finite"):  # r2/r1 overflows
         AnnulusGrid(0.5, 1e308, 16, 32)
+    with pytest.raises(DomainError, match="distinct circles"):  # log r1 swallows the steps
+        AnnulusGrid(1e300, 1e300 * (1 + 1e-13), 16, 32)
     g = AnnulusGrid(0.5, 1.0, 64, 64)
     assert g.modulus == pytest.approx(math.log(2))
     assert g.eps_grid == pytest.approx(10 * g.spacing**2)
+    # a map admits only finite fields: NaN fails the range test, inf the angle
+    T, PHI = g.mesh()
+    rho = 0.8 + 0.1 * (T - T[0, 0])
+    with pytest.raises(DomainError, match="distance range"):
+        AnnulusMap(grid=g, rho=np.where((T == T[5, 0]) & (PHI == 0), np.nan, rho),
+                   theta=PHI.copy(), metric=FLAT)
+    with pytest.raises(DomainError, match="theta"):
+        AnnulusMap(grid=g, rho=rho, theta=np.where(PHI == 0, np.inf, PHI), metric=FLAT)
 
 
 def test_identity_conformal_map_residual_refines_at_second_order_or_better():
@@ -101,37 +114,6 @@ def test_solve_recovers_radial_map_flat():
     assert np.max(np.abs(f.rho - exact[:, None])) <= 1e-6
 
 
-def test_cold_start_newton_matches_warm_start():
-    grid = AnnulusGrid(1.0, math.exp(0.6), 64, 48)
-    cold = solve_dirichlet(grid, HYP, 0.5, 1.0, warm_start=False)
-    warm = solve_dirichlet(grid, HYP, 0.5, 1.0)
-    assert cold.info.iterations >= 2  # the 2-D Newton path really ran
-    assert np.max(np.abs(cold.rho - warm.rho)) < 1e-9
-    assert np.max(np.abs(cold.theta - warm.theta)) < 1e-9
-
-
-def test_jacobian_matches_central_differences_off_symmetry():
-    # rho and u vary in phi, so D_t u and theta_t are nonzero and the
-    # (F1, u) and (F2, rho) couplings that vanish on radial states are live
-    n, delta = 32, 1e-6
-    grid = AnnulusGrid(1.0, math.exp(0.6), n, n)
-    T, PHI = grid.mesh()
-    s = (T - T[0, 0]) / grid.modulus
-    x = np.stack([0.5 + 0.5 * s + 0.02 * np.sin(3 * PHI) * np.sin(np.pi * s),
-                  0.05 * np.cos(2 * PHI + T) * np.sin(np.pi * s)])
-    J = _assemble_jacobian(grid, HYP, *x).toarray()
-    fd = np.empty_like(J)
-    for col, (i, r, c) in enumerate(np.ndindex(2, n - 2, n)):
-        xp, xm = x.copy(), x.copy()
-        xp[i, r + 1, c] += delta
-        xm[i, r + 1, c] -= delta
-        fd[:, col] = (np.stack(_system_residual(grid, HYP, *xp))
-                      - np.stack(_system_residual(grid, HYP, *xm))).ravel() / (2 * delta)
-    assert np.max(np.abs(J - fd)) <= 1e-8 * np.max(np.abs(J))
-    radial = np.stack([np.repeat(x[0].mean(axis=1, keepdims=True), n, axis=1), 0 * x[1]])
-    assert np.count_nonzero(J) > np.count_nonzero(_assemble_jacobian(grid, HYP, *radial).toarray())
-
-
 def _halving_profile(m, rho1, rho2, t):
     """The 1-D warm start as a plain loop: 30 halvings per search, stop at a failed one."""
     h, n = t[1] - t[0], len(t)
@@ -164,9 +146,54 @@ def test_inadmissible_newton_start_is_a_failed_solve(monkeypatch):
     from nitsche_lab import DivergenceError, pde
 
     monkeypatch.setattr(pde, "_radial_discrete_profile",
-                        lambda m, r1, r2, t: np.full_like(t, np.nan))
+                        lambda m, r1, r2, t: (np.full_like(t, np.nan), [math.inf]))
     with pytest.raises(DivergenceError, match="inf"):
         solve_dirichlet(AnnulusGrid(0.5, 1.0, 16, 32), FLAT, 0.8, 1.0)
+
+
+def _spy_banded_newton(monkeypatch):
+    """Record (residual, steps taken) of every damped-Newton run, steps counted from its iterates."""
+    from nitsche_lab import pde
+
+    runs = []
+    damped_newton = pde._damped_newton
+
+    def spy(residual, newton_step, x, tol, max_iter):
+        iterates = [x]
+
+        def step(y, F):
+            iterates.append(y)
+            return newton_step(y, F)
+
+        out = damped_newton(residual, step, x, tol, max_iter)
+        runs.append((residual, len({y.tobytes() for y in (*iterates, out[0])}) - 1))
+        return out
+
+    monkeypatch.setattr(pde, "_damped_newton", spy)
+    return runs
+
+
+@pytest.mark.parametrize("n", [32, 128])
+@pytest.mark.parametrize("m, rho1, rho2, T", [
+    (FLAT, 0.8, 1.0, math.log(2)), (HYP, 0.5, 1.0, 0.6), (SPH, 0.5, 1.2, 0.5),
+    (ENNEPER, 0.4, 0.9, 0.5), (PROFILE, 0.5, 1.0, 0.4)])
+def test_symmetric_grid_system_is_the_radial_line(monkeypatch, n, m, rho1, rho2, T):
+    # at a phi-independent rho with u = 0, F2 vanishes exactly and F1 is the 1-D
+    # residual on every row, so the solve is the banded line plus one 2-D check
+    runs = _spy_banded_newton(monkeypatch)
+    grid = AnnulusGrid(1.0, math.exp(T), n, n)
+    f = solve_dirichlet(grid, m, rho1, rho2)
+    (residual_1d, steps), = runs
+    assert f.info.iterations == steps >= 1
+    assert f.info.residual_history[-1] <= NEWTON_TOL
+    assert np.array_equal(f.theta, np.broadcast_to(grid.phi, f.theta.shape))
+    s = (grid.t - grid.t[0]) / grid.modulus
+    for line in (rho1 + (rho2 - rho1) * s, f.rho[:, 0] + 0.1 * (rho2 - rho1) * np.sin(np.pi * s)):
+        rho = np.repeat(line[:, None], n, axis=1)
+        F1, F2 = _system_residual(grid, m, rho, np.zeros_like(rho))
+        assert not np.any(F2)
+        F = residual_1d(line)
+        assert np.max(np.abs(F1 - F[:, None])) <= 1e-12 * np.max(np.abs(F))
 
 
 @pytest.mark.parametrize("m, rho1, rho2, T", [(FLAT, 0.8, 1.0, math.log(2)),
@@ -177,7 +204,7 @@ def test_warm_start_profile_ends_without_a_long_failed_search(monkeypatch, m, rh
     calls = []
     dG2 = m.dG2
     monkeypatch.setattr(m, "dG2", lambda r: calls.append(1) or dG2(r))
-    profile = _radial_discrete_profile(m, rho1, rho2, t)
+    profile, _ = _radial_discrete_profile(m, rho1, rho2, t)
     assert np.max(np.abs(profile - reference)) <= 1e-12
     # a full 30-halving search that fails costs 30 dG2 calls on its own
     assert len(calls) < 30
@@ -232,10 +259,12 @@ def test_warm_verify_reaches_no_sparse_factorisation(monkeypatch):
 
     monkeypatch.setattr(scipy.sparse.linalg, "spsolve", refuse)
     monkeypatch.setattr(scipy.sparse, "diags", refuse)
+    runs = _spy_banded_newton(monkeypatch)
     for m, rho1, rho2, T in ((FLAT, 0.8, 1.0, math.log(2)), (HYP, 0.5, 1.0, 0.6),
                              (SPH, 0.5, 1.2, 0.5)):
         report = verify_end_to_end(m, 1.0, math.exp(T), rho1, rho2, n_r=64, n_theta=64)
-        assert report.provenance["newton_iterations"] == 0
+        assert report.provenance["newton_iterations"] == runs[-1][1] >= 1
+        assert report.provenance["final_system_residual"] <= NEWTON_TOL
         assert all(block["ok"] for block in report.subchecks.values())
 
 
@@ -253,18 +282,21 @@ def test_banded_warm_start_step_matches_a_dense_solve(monkeypatch, m, rho1, rho2
             A = np.diag(off, 1) + np.diag(off, -1)
             A += np.diag(-2 / h**2 - 0.5 * np.asarray(m.d2G2(rho[1:-1])))
             step = newton_step(rho, F)
-            steps.append((step[1:-1], np.linalg.solve(A, -F)))
+            steps.append((rho, step[1:-1], np.linalg.solve(A, -F)))
             return step
-        return damped_newton(residual, checked_step if x.ndim == 1 else newton_step,
-                             x, tol, max_iter)
+        return damped_newton(residual, checked_step, x, tol, max_iter)
 
     monkeypatch.setattr(pde, "_damped_newton", spy)
     for n in (64, 128):
         grid = AnnulusGrid(1.0, math.exp(T), n, n)
+        first = len(steps)
         f = solve_dirichlet(grid, m, rho1, rho2)
-        assert f.info.iterations == 0
+        # the iterates stepped from, and the end: one more than the steps taken
+        iterates = {rho.tobytes() for rho, _, _ in steps[first:]} | {f.rho[:, 0].tobytes()}
+        assert f.info.iterations == len(iterates) - 1 >= 1
+        assert f.info.residual_history[-1] <= NEWTON_TOL
     assert steps
-    for banded, dense in steps:
+    for _, banded, dense in steps:
         assert np.max(np.abs(banded - dense)) <= 1e-13
 
 
@@ -395,7 +427,7 @@ def test_green_chain_domain_errors():
 def test_green_stations_read_only_the_stencil_laplacian(monkeypatch):
     grid = AnnulusGrid(1.0, math.exp(0.6), 32, 32)
     f = solve_dirichlet(grid, HYP, 0.5, 1.0)
-    lap = _stencil(grid, HYP, f.rho, f.theta - grid.mesh()[1]).lap
+    lap = _lap5(grid, f.rho)
 
     def metric_call(*args):
         raise AssertionError("green_stations evaluated the metric")
