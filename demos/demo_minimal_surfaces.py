@@ -27,7 +27,7 @@ for s in (0.25, 0.5, 0.75, 0.999):
 
 m = surface_metric(enneper)
 s = np.linspace(0.1, 0.9, 5)
-print(f"\ncurvature along a radius (always negative): "
+print(f"\ncurvature along a radius, -4/(1 + s^2)^4 in closed form (always negative): "
       f"{np.array2string(np.asarray(gaussian_curvature(m, s)), precision=4)}")
 
 print("\ngeodesics by direct integration of the metric connection:")

@@ -130,6 +130,7 @@ def _emit(args, payload: dict, rows=None, header=None) -> None:
 def _cmd_solve_radial(args) -> int:
     m = load_metric(args.metric)
     if args.critical:
+        m.check_annulus(args.rho1, np.nextafter(args.rho1, np.inf))  # rho1 as an inner radius
         prof = shoot(m, args.rho1, 0.0, args.mod, n_steps=args.steps)
         status = "range_exit" if prof.exited else "ok"
     else:
@@ -216,23 +217,13 @@ def _cmd_compare(args) -> int:
     m = load_metric(args.metric)
     m_hat, bound = _against_metric(args.against)
     oss = osserman_check(m, m_hat, args.rho_max)
-    payload = {
-        "osserman": {
-            "status": oss.status,
-            "min_margin": oss.min_margin,
-            "passed": oss.passed,
-        }
-    }
+    fields = ("status", "min_margin", "passed")
+    payload = {"osserman": {k: getattr(oss, k) for k in fields}}
     reports = [oss]
     if bound is not None:
         hess = hessian_check(m, args.rho_max, bound)
         reports.append(hess)
-        payload["hessian"] = {
-            "status": hess.status,
-            "min_margin": hess.min_margin,
-            "passed": hess.passed,
-            "radial_hessian_zero": hess.radial_hessian_zero,
-        }
+        payload["hessian"] = {k: getattr(hess, k) for k in (*fields, "radial_hessian_zero")}
     _emit(args, payload)
     if any(r.status != STATUS_OK for r in reports):
         return BAD_INPUT

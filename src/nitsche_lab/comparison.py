@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .metrics import CurvatureBound, RotMetric, gaussian_curvature, h_c
+from .metrics import CurvatureBound, RotMetric, h_c
 
 TOL = 1e-7
 N_SAMPLES = 200  # radii sampled uniformly in (0, rho_max)
@@ -46,11 +46,6 @@ class ComparisonReport:
         return self.status == STATUS_OK and self.min_margin >= -TOL
 
 
-def _curvature_at_geodesic_radii(m: RotMetric, rho: np.ndarray) -> np.ndarray:
-    s = np.asarray(m.inverse_distance(rho), dtype=float)
-    return np.asarray(gaussian_curvature(m, s), dtype=float)
-
-
 def _samples(rho_max: float) -> np.ndarray:
     return rho_max * np.arange(1, N_SAMPLES + 1) / (N_SAMPLES + 1)
 
@@ -66,8 +61,8 @@ def osserman_check(m: RotMetric, m_hat: RotMetric, rho_max: float) -> Comparison
         raise DomainError("rho_max exceeds a metric's distance range")
     rho = _samples(rho_max)
 
-    K = _curvature_at_geodesic_radii(m, rho)
-    K_hat = _curvature_at_geodesic_radii(m_hat, rho)
+    K = m.curvature(m.inverse_distance(rho))
+    K_hat = m_hat.curvature(m_hat.inverse_distance(rho))
     if np.any(K > K_hat + 1e-5):
         return ComparisonReport(
             kind="osserman",
@@ -107,7 +102,7 @@ def hessian_check(m: RotMetric, rho_max: float, bound: CurvatureBound) -> Compar
         raise DomainError("positive bound requires rho_max < pi/(2 kappa)")
     rho = _samples(rho_max)
 
-    K = _curvature_at_geodesic_radii(m, rho)
+    K = m.curvature(m.inverse_distance(rho))
     if np.any(K > bound.value + 1e-5):
         return ComparisonReport(
             kind="hessian",

@@ -71,9 +71,6 @@ class AnnulusGrid:
         """(T, PHI) arrays of shape (n_r, n_theta)."""
         return np.meshgrid(self.t, self.phi, indexing="ij")
 
-    def radii(self) -> np.ndarray:
-        return np.exp(self.t)
-
 
 def wrap_pad(F: np.ndarray, k: int) -> np.ndarray:
     """F with k columns of periodic padding on each side in phi (axis 1)."""

@@ -18,7 +18,8 @@ This module provides:
 - the comparison functions ``h_c``, ``psi_small``, ``psi_big``, ``psi_sharp``
   used by the Laplacian bounds and the main annulus inequality, which read
   each model surface from one per-sign table,
-- a finite-difference Gaussian curvature evaluator, and
+- the Gaussian curvature ``K = -lap(log h)/h^2``, exact on every metric, which
+  gives ``(G^2)'' = 2 G'^2 - 2 K G^2`` by Jacobi's equation ``G'' = -K G``, and
 - the JSON metric-description loader.
 """
 
@@ -183,8 +184,10 @@ class RotMetric:
         Supremum of valid geodesic radii, d(s_max^-).
     density_prime : callable
         Analytic h'(s), for exact ODE right-hand sides.
-    g_analytic, g_prime_analytic, d2g2_analytic : callable, optional
-        Closed forms for G(rho), G'(rho) and (G^2)''(rho) (model metrics).
+    curvature : callable
+        Exact Gaussian curvature K(s) = -lap(log h)/h^2 at chart radius s.
+    g_analytic, g_prime_analytic : callable, optional
+        Closed forms for G(rho) and G'(rho) (model metrics).
     bound : CurvatureBound, optional
         The curvature upper bound this metric is analysed under.
     knots : array, optional
@@ -199,9 +202,9 @@ class RotMetric:
         domain_radius: float,
         rho_max: float,
         density_prime: Callable,
+        curvature: Callable,
         g_analytic: Callable | None = None,
         g_prime_analytic: Callable | None = None,
-        d2g2_analytic: Callable | None = None,
         bound: CurvatureBound | None = None,
         label: str = "metric",
         knots: np.ndarray | None = None,
@@ -212,9 +215,9 @@ class RotMetric:
         self.domain_radius = float(domain_radius)
         self.rho_max = float(rho_max)
         self.density_prime = density_prime
+        self.curvature = curvature
         self._g_analytic = g_analytic
         self._g_prime_analytic = g_prime_analytic
-        self._d2g2_analytic = d2g2_analytic
         self.bound = bound
         self.label = label
         self.knots = knots
@@ -264,27 +267,19 @@ class RotMetric:
         return 2.0 * self.G(rho) * self.G_prime(rho)
 
     def d2G2(self, rho):
-        """Second derivative of G^2, used by the Newton linearisation: its closed form
-        when given, else a central difference of :meth:`dG2`."""
-        self.check_rho(rho)
-        if self._d2g2_analytic is not None:
-            return self._d2g2_analytic(rho)
-        h = 1e-5
-        lo = np.maximum(np.asarray(rho, dtype=float) - h, 1e-300)
-        hi = np.asarray(rho, dtype=float) + h
-        hi = np.minimum(hi, self.rho_max * (1 - 1e-12))
-        return (self.dG2(hi) - self.dG2(lo)) / (hi - lo)
+        """(G^2)'' = 2 G'^2 - 2 K G^2 (Jacobi's G'' = -K G), for the Newton linearisation."""
+        g, gp = self.G(rho), self.G_prime(rho)
+        return 2.0 * (gp * gp - self.curvature(self.inverse_distance(rho)) * g * g)
 
 
 def constant_curvature_metric(bound: CurvatureBound) -> RotMetric:
     """The model metric of constant curvature matching ``bound``.
 
-    The plane has density 1, G(rho) = rho and (G^2)'' = 2.  The sphere and the
-    hyperboloid (sigma = +1, -1) have density 2/(kappa (1 + sigma s^2)),
-    distance (2/kappa) atn(s), and G, G' and (G^2)'' = 2 cs(2 kappa rho) from
-    the sign table.  ``rho_max`` is the largest radius where G, G', their
-    squares and (G^2)' are finite floats, and at most the sphere's antipode
-    pi/kappa.
+    The plane has density 1 and G(rho) = rho.  The sphere and the hyperboloid
+    (sigma = +1, -1) have density 2/(kappa (1 + sigma s^2)), distance
+    (2/kappa) atn(s), curvature sigma kappa^2, and G and G' from the sign table.
+    ``rho_max`` is the largest radius where G, G', their squares and (G^2)' are
+    finite floats, and at most the sphere's antipode pi/kappa.
     """
     big = float(np.finfo(float).max)
     if bound.sign == ZERO:  # plain lambdas: the scalar RK4 loop calls G and G' at every stage
@@ -295,9 +290,9 @@ def constant_curvature_metric(bound: CurvatureBound) -> RotMetric:
             domain_radius=math.inf,
             rho_max=math.sqrt(big),
             density_prime=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
+            curvature=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
             g_analytic=lambda rho: np.asarray(rho, dtype=float),
             g_prime_analytic=lambda rho: np.ones_like(np.asarray(rho, dtype=float)),
-            d2g2_analytic=lambda rho: np.full_like(np.asarray(rho, dtype=float), 2.0),
             bound=bound,
             label="flat",
         )
@@ -318,9 +313,9 @@ def constant_curvature_metric(bound: CurvatureBound) -> RotMetric:
         rho_max=rho_max,
         density_prime=lambda s: -4.0 * sigma * np.asarray(s, dtype=float)
         / (k * (1.0 + sigma * np.asarray(s, dtype=float) ** 2) ** 2),
+        curvature=lambda s: np.full_like(np.asarray(s, dtype=float), sigma * k * k),
         g_analytic=lambda rho: sn(k * np.asarray(rho, dtype=float)) / k,
         g_prime_analytic=lambda rho: cs(k * np.asarray(rho, dtype=float)),
-        d2g2_analytic=lambda rho: 2.0 * cs(2.0 * k * np.asarray(rho, dtype=float)),
         bound=bound,
         label=f"{name}(kappa={k:g})",
     )
@@ -329,11 +324,12 @@ def constant_curvature_metric(bound: CurvatureBound) -> RotMetric:
 def metric_from_profile(samples) -> RotMetric:
     """Build a metric labelled ``"profile"``, with no bound, from (s, h(s)) samples.
 
-    The density is interpolated by a monotone cubic (PCHIP).  Distance and
-    inverse are PCHIP interpolants through >= 1024 knots of d(s) = integral_0^s h,
-    from cumulative composite Simpson on twice as many equal intervals of
-    [0, s_max].  Non-numeric, non-finite, zero or negative density samples are
-    rejected.
+    The density is interpolated by a monotone cubic (PCHIP), and the curvature
+    -(h (h'' + h'/s) - h'^2)/h^4 is read from its derivatives.  Distance
+    and inverse are PCHIP interpolants through >= 1024 knots of d(s) =
+    integral_0^s h, from cumulative composite Simpson on twice as many equal
+    intervals of [0, s_max].  Non-numeric, non-finite, zero or negative density
+    samples are rejected.
     """
     from scipy.interpolate import PchipInterpolator
 
@@ -357,40 +353,31 @@ def metric_from_profile(samples) -> RotMetric:
     seg = (fine[1] - fine[0]) / 3.0 * (hv[0:-2:2] + 4.0 * hv[1:-1:2] + hv[2::2])
     d_knots = np.concatenate([[0.0], np.cumsum(seg)])
     distance, inverse = PchipInterpolator(fine[::2], d_knots), PchipInterpolator(d_knots, fine[::2])
+    dh, d2h = density.derivative(), density.derivative(2)
     return RotMetric(
         density=density,
         distance=distance,
         inverse_distance=inverse,
         domain_radius=float(s[-1]),
         rho_max=float(d_knots[-1]),
-        density_prime=density.derivative(),
+        density_prime=dh,
+        curvature=lambda s: -(density(s) * (d2h(s) + dh(s) / s) - dh(s) ** 2) / density(s) ** 4,
         label="profile",
         knots=s,
     )
 
 
 def gaussian_curvature(m: RotMetric, s):
-    """Gaussian curvature -lap(log h)/h^2 at chart radius s.
-
-    The radial Laplacian of log h is evaluated with a centered 5-point
-    stencil, step max(1e-4, 1e-4 s); radii too close to 0 or s_max for the
-    stencil raise a domain error.
-    """
+    """Gaussian curvature -lap(log h)/h^2 at chart radii 0 < s < s_max: the metric's own."""
     s_arr = np.asarray(s, dtype=float)
-    step = np.maximum(1e-4, 1e-4 * s_arr)
-    if np.any(s_arr - 2 * step <= 0) or np.any(s_arr + 2 * step >= m.domain_radius):
-        raise DomainError("chart radius too close to 0 or the chart edge for the stencil")
-    offs = np.array([-2.0, -1.0, 1.0, 2.0])
-    logh = [np.log(m.density(s_arr + k * step)) for k in offs]
-    logh0 = np.log(m.density(s_arr))
-    d1 = (logh[0] - 8 * logh[1] + 8 * logh[2] - logh[3]) / (12 * step)
-    d2 = (-logh[0] + 16 * logh[1] - 30 * logh0 + 16 * logh[2] - logh[3]) / (12 * step**2)
-    out = -(d2 + d1 / s_arr) / m.density(s_arr) ** 2
+    if not np.all((s_arr > 0) & (s_arr < m.domain_radius)):  # NaN fails too
+        raise DomainError(f"chart radius outside (0, {m.domain_radius:.6g}) of {m.label}")
+    out = np.asarray(m.curvature(s_arr), dtype=float)
     return out if out.ndim else float(out)
 
 
 def infer_bound(m: RotMetric) -> CurvatureBound:
-    """Estimate an upper curvature bound from the FD curvature at 64 chart radii
+    """Estimate an upper curvature bound from the curvature at 64 chart radii
     from 0.1% to 99.9% of the chart radius (10 for an entire-plane chart).
 
     A tabulated density is read instead at the midpoint of the knot interval

@@ -12,9 +12,11 @@ because the planar Laplacian of a radial function is ``e^{-2t} rho_tt`` and
 ``|grad arg z|^2 = e^{-2t}``.  The equation conserves ``rho_t^2 - G(rho)^2``,
 so the modulus T(v0) at which the trajectory from (rho1, v0) reaches rho2 is
 one quadrature: the critical modulus is T(0), the boundary problem is the
-root of T(v0) = T, and its profile is that quadrature inverted.  RK4 (with a
-half-step Richardson cross-check) runs only where a trajectory is asked for;
-the classical closed-form radial maps between Euclidean annuli are oracles.
+root of T(v0) = T, its profile is that quadrature inverted, and the end of the
+zero-slope trajectory at T is a walk of such quadratures inverted.  RK4 (with
+a half-step Richardson cross-check) runs only in :func:`shoot`, where a
+trajectory is asked for; the classical closed-form radial maps between
+Euclidean annuli are oracles.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ QUAD_TOL = 1e-12  # absolute error target of the T(v0) quadrature
 CRITICAL_RTOL = 1e-12  # relative band around T(0) where the inner slope is 0
 _NEAR_ZONE = 1e-3  # G - G(rho1) from G' within this fraction of G1/G1' of rho1
 _MAX_PANELS = 1 << 13
+_SEGMENT_RATIO = 16.0  # largest radius ratio of one critical_outer quadrature
 _EPS = float(np.finfo(float).eps)
 _LEG = np.polynomial.legendre
 _GL_X, _GL_W = _LEG.leggauss(32)
@@ -175,23 +178,49 @@ def shoot(m: RotMetric, rho1: float, slope0: float, T: float,
     )
 
 
-def critical_outer(m: RotMetric, rho1: float, T: float,
-                   n_steps: int = DEFAULT_STEPS) -> float:
+def critical_outer(m: RotMetric, rho1: float, T: float) -> float:
     """Outer radius rho(T) of the zero-initial-slope trajectory.
 
     While G' > 0 the right-hand side G G' is positive, so this is the smallest
     outer radius any monotone radial harmonic map of modulus T can reach from
-    rho1.  Flat case: rho1 cosh(T).  Raises DomainError where the trajectory
-    (one RK4 :func:`shoot` of ``n_steps``) leaves the metric range or meets
+    rho1.  Flat case: rho1 cosh(T).  Times add, T(0; rho1, b) = T(0; rho1, a) +
+    T(v_a; a, b) with v_a^2 = G(a)^2 - G(rho1)^2, so :func:`modulus_of_slope`
+    walks segments of radius ratio <= 16, each cut where G' first falls to 0 on
+    257 equal radii, and :func:`_falling_root` inverts the last.  From within
+    1e-6 of such a maximum b of G or of a positive bound's cap, where the
+    quadrature cannot settle, rho = b - (b - rho1) cos(sqrt(K) G t) linearised
+    at b.  DomainError where the trajectory leaves the metric range or meets
     G' <= 0, where it may turn back, before T.
     """
-    prof = shoot(m, rho1, 0.0, T, n_steps=n_steps, richardson=False)
-    if prof.exited:
-        raise DomainError(f"critical trajectory left the metric range at t = {prof.exit_time:.6g}")
-    turned = np.asarray(m.G_prime(prof.rho)) <= 0
-    if np.any(turned):
-        raise DomainError(f"critical trajectory met G' <= 0 at t = {prof.t_grid[turned][0]:.6g}")
-    return prof.rho2
+    if not 0 < T < math.inf:
+        raise DomainError("need a positive finite modulus T")
+    cap = m.bound.cap if m.bound is not None else math.inf
+    end = min(cap, float(np.nextafter(m.rho_max, 0.0)))
+    g1, a, t, v = float(m.G(rho1)), rho1, 0.0, 0.0
+    while True:
+        b = min(_SEGMENT_RATIO * a, end)
+        r = np.linspace(a, b, 257)
+        if k := int(np.argmax(np.asarray(m.G_prime(r)) <= 0)):  # G' > 0 on r[:k], not at r[k]
+            lo, w = float(r[k - 1]), float(r[k] - r[k - 1])
+            x = _falling_root(lambda x: float(m.G_prime(lo + x * w)), float(m.G_prime(lo)), 1.0)
+            b = end = cap = lo + x * w  # a maximum of G ends the walk as a cap does
+        if b == cap and t == 0 and 0 < b - a <= 1e-6 * b:
+            c = math.sqrt(max(float(m.curvature(m.inverse_distance(b))), 0.0)) * float(m.G(b))
+            if c * T <= math.pi / 2:
+                return b - (b - a) * math.cos(c * T)
+            raise DomainError(f"critical trajectory met G' <= 0 at t = {math.pi / (2 * c):.6g}")
+        if (dt := modulus_of_slope(m, a, b, v)) >= T - t:
+            break
+        if b == end:
+            where = "met G' <= 0" if end == cap else "left the metric range"
+            raise DomainError(f"critical trajectory {where} at t = {t + dt:.6g}")
+        t, a, v = t + dt, b, math.sqrt(float(m.G(b)) ** 2 - g1 * g1)
+
+    def rest(x):  # T less the time to reach a + x (b - a), none where that rounds to a
+        r = a + x * (b - a)
+        return T - t - (modulus_of_slope(m, a, r, v) if r > a else 0.0)
+
+    return a + _falling_root(rest, T - t, 1.0) * (b - a)
 
 
 def modulus_of_slope(m: RotMetric, rho1: float, rho2: float, v0: float,
@@ -218,6 +247,8 @@ def _quadrature(m: RotMetric, rho1: float, rho2: float, v0: float, tol: float = 
     m.check_annulus(rho1, rho2)
     q0 = float(m.dG2(rho1))
     g1 = float(m.G(rho1))
+    if not q0 * (rho2 - rho1) > 0:  # radii near the float minimum
+        raise DomainError(f"q0 (rho2 - rho1) underflows to 0 at rho1 = {rho1:.6g}")
     near_u = _NEAR_ZONE * 2.0 * g1 * g1 / q0  # a fraction of the length G1/G1'
     tau_max = q0 * (rho2 - rho1) / (math.sqrt(v0 * v0 + q0 * (rho2 - rho1)) + v0)
 
@@ -243,7 +274,7 @@ def _quadrature(m: RotMetric, rho1: float, rho2: float, v0: float, tol: float = 
             raise DomainError(f"(v0^2 + G({rho[radicand <= 0][0]:.6g})^2) <= G(rho1)^2: the "
                               f"trajectory from rho1 = {rho1:.6g} with slope v0 = {v0:.6g} "
                               "turns back before rho2")
-        return 2.0 * (v0 + tau) / (q0 * np.sqrt(radicand))
+        return 2.0 * (v0 + tau) / np.sqrt(radicand) / q0  # q0 sqrt(radicand) may overflow
 
     prev, panels = math.nan, 1
     while panels <= _MAX_PANELS:
@@ -333,7 +364,7 @@ def solve_bvp(m: RotMetric, rho1: float, rho2: float, T: float,
     t_crit = modulus_of_slope(m, rho1, rho2, 0.0)
     if t_crit < T * (1.0 - CRITICAL_RTOL):
         try:
-            outer = critical_outer(m, rho1, T, n_steps)
+            outer = critical_outer(m, rho1, T)
         except DomainError:
             outer = math.inf
         return NoSolution(rho1=rho1, rho2=rho2, modulus=T, critical_outer=outer,

@@ -112,16 +112,6 @@ def config_hash(params: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _psi_sharp_min(bound: CurvatureBound, rho1: float, rho2: float) -> float:
-    """min of psi_sharp over [rho1, rho2]; attained at an endpoint.
-
-    psi_sharp is increasing for nonpositive bounds and concave on the
-    admissible range for positive ones, so the interval minimum sits at an
-    endpoint either way.
-    """
-    return min(float(psi_sharp(bound, rho1)), float(psi_sharp(bound, rho2)))
-
-
 def check_bound(bound: CurvatureBound, rho1: float, rho2: float, mod: float,
                 tol: float = REPORT_TOL) -> BoundReport:
     """Pure-arithmetic report of the inequality for given data (no solving)."""
@@ -135,7 +125,9 @@ def check_bound(bound: CurvatureBound, rho1: float, rho2: float, mod: float,
     except OverflowError:  # mod above 1.3e154: the right-hand sides are infinite
         mod2 = math.inf
     rhs = psi * mod2 + 1.0
-    sharp = _psi_sharp_min(bound, rho1, rho2) / rho1 / 2  # as psi_big: 2 rho1 may overflow
+    # psi_sharp rises for a bound <= 0 and is concave up to the cap for a positive one, so
+    # its minimum on [rho1, rho2] is at an end; / rho1 / 2 as in psi_big: 2 rho1 may overflow
+    sharp = min(float(psi_sharp(bound, rho1)), float(psi_sharp(bound, rho2))) / rho1 / 2
     rhs_sharp = sharp * mod2 + 1.0
     params = {"bound": (bound.sign, bound.kappa), "rho1": rho1, "rho2": rho2, "mod": mod}
     return BoundReport(

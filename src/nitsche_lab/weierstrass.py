@@ -10,7 +10,8 @@ numbers (a, b, k).  Its density |a| + |b| |z|^k is rotationally symmetric,
 so the rays from the origin are geodesics, the distance from the origin is
 the polynomial d(s) = |a| s + |b| s^(k+1)/(k+1), and its inverse is a Newton
 iteration on d.  The ambient immersion is never needed: the density carries
-the curvature, the distances, and the geodesics.
+the curvature -k^2 |a| |b| s^(k-2) / (|a| + |b| s^k)^4, the distances, and the
+geodesics.
 """
 
 from __future__ import annotations
@@ -112,6 +113,7 @@ def surface_metric(w: WeierstrassData) -> RotMetric:
         domain_radius=DISK_EDGE,
         rho_max=float(distance(DISK_EDGE)),
         density_prime=lambda s: k * b * np.asarray(s, dtype=float) ** (k - 1),
+        curvature=lambda s: -k * k * a * b * np.power(s, k - 2.0) / density(s) ** 4,
         bound=CurvatureBound.zero(),
         label=f"weierstrass:{w.name}",
     )

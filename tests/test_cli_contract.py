@@ -8,6 +8,8 @@ the CLI, the radius gates give JSON-clean output or a ``DomainError``
 (exit 4) for radii anywhere in the positive float range.
 """
 
+import contextlib
+import io
 import json
 import os
 import warnings
@@ -167,9 +169,17 @@ def test_extreme_numbers_keep_the_contract(capsys):
                      "--mod", "0.5", "--quiet"]) == 4
         assert main(["check-bound", "--sign", "zero", "--rho1", "9e307", "--rho2", "1e308",
                      "--mod", "1", "--quiet"]) == 4
+        # radii so small that the first integral's q0 (rho2 - rho1) underflows
+        assert main(["solve-radial", *flat[:2], "--rho1", "1e-200", "--rho2", "2e-200",
+                     "--mod", "0.5", "--quiet"]) == 4
     err = capsys.readouterr().err
     assert "distance range [0, 1.34078e+154) of flat" in err
     assert err.count("distance range [0, 3.55238e-298)") == 2
+    # --critical gates rho1 as an inner radius: positive, below the cap, in the range
+    sph = json.dumps({"kind": "constant", "sign": "positive", "kappa": 1.0})
+    for rho1 in ("2.0", "3.0", "0.0"):
+        assert main(["solve-radial", "--metric", sph, "--rho1", rho1, "--critical", "--mod", "1.0",
+                     "--steps", "16", "--quiet"]) == 4
     # Mod^2 overflows to an infinite right-hand side, which the data violates
     assert main(["check-bound", "--sign", "zero", "--rho1", "0.5", "--rho2", "1.0",
                  "--mod", "1e308", "--quiet"]) == 2
@@ -212,3 +222,30 @@ def test_radii_over_the_float_range_give_clean_json_or_a_domain_error(r1, r2, n_
             clean(check_bound(bound, r1, r2, mod).to_dict())
         except DomainError:
             pass
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@settings(max_examples=150, deadline=None)
+@given(r1=POSITIVE_FLOATS, r2=POSITIVE_FLOATS, mod=st.floats(1e-3, 1e3),
+       kappa=st.floats(1e-3, 1e3))
+@example(r1=5e-324, r2=1e-10, mod=0.5, kappa=1.0)
+@example(r1=0.5, r2=1.7976931348623157e308, mod=0.5, kappa=1.0)
+def test_cli_radii_over_the_float_range_print_strict_json_or_exit_4(r1, r2, mod, kappa):
+    radii = ["--rho1", repr(r1), "--rho2", repr(r2), "--mod", repr(mod)]
+    for argv in (["check-bound", "--sign", "zero", *radii],
+                 ["check-bound", "--sign", "positive", "--kappa", repr(kappa), *radii],
+                 ["modulus", "--domain", "circular", repr(r1), repr(r2), "--n", "16"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2, 4), argv
+        if code == 4:
+            assert err.getvalue().startswith("invalid input"), argv
+        else:
+            assert isinstance(_strict_json(out.getvalue()), dict), argv

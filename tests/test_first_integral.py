@@ -128,7 +128,7 @@ def test_no_solution_on_the_sphere_names_t0_and_the_turned_trajectory():
     out = nl.solve_bvp(SPH, 0.3, 0.4, 1.0)
     assert isinstance(out, nl.NoSolution)
     assert out.critical_outer == pytest.approx(nl.critical_outer(SPH, 0.3, 1.0), abs=1e-12)
-    # a last RK4 step that leaves the metric range is an exit too
+    # the zero-slope trajectory leaves Enneper's range at t = 1.2289 < Mod
     enneper = nl.surface_metric(nl.catalog_surface("enneper"))
     assert nl.shoot(enneper, 0.5, 0.0, 1.25, n_steps=8, richardson=False).rho2 > enneper.rho_max
     assert nl.solve_bvp(enneper, 0.5, 1.0, 1.25, n_steps=8).critical_outer == math.inf
@@ -141,23 +141,27 @@ def test_enneper_critical_modulus_lands_zero_slope_shot_on_rho2():
     assert abs(prof.rho2 - 1.1) <= 1e-9
 
 
-def test_solve_bvp_never_shoots_and_no_solution_shoots_once(monkeypatch):
+def test_solve_bvp_never_shoots(monkeypatch):
     calls = []
-    real = radial.shoot
+    for name in ("shoot", "rk4"):
+        def counting(*args, real=getattr(radial, name), name=name, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(radial, "shoot", counting)
+        monkeypatch.setattr(radial, name, counting)
     t0 = nl.critical_modulus(HYP, 0.5, 1.4)
     for mod in (0.5, t0):
         sol = nl.solve_bvp(HYP, 0.5, 1.4, mod, n_steps=256)
         assert sol.boundary_error < 1e-12
+    # nor does a NoSolution: its critical_outer walks the first integral, finite,
+    # past the range, or past the sphere's cap
+    outers = [nl.solve_bvp(m, rho1, rho2, mod, n_steps=256).critical_outer
+              for m, rho1, rho2, mod in ((HYP, 0.5, 1.4, 1.2 * t0), (HYP, 0.5, 1.4, 10.0),
+                                         (ENNEPER, 0.5, 1.0, 1.25), (SPH, 0.5, 1.5, 3.0),
+                                         (FLAT, 0.9, 1.0, math.log(2)))]
+    assert outers[0] < HYP.rho_max and outers[1:4] == [math.inf] * 3
+    assert outers[4] == pytest.approx(0.9 * math.cosh(math.log(2)), rel=1e-14)
     assert not calls
-    # a NoSolution shoots once, for its critical_outer
-    assert isinstance(nl.solve_bvp(HYP, 0.5, 1.4, 2 * t0, n_steps=256), nl.NoSolution)
-    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("beta", BETAS)

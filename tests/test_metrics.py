@@ -2,13 +2,16 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from nitsche_lab import (
+    CATALOG,
     CurvatureBound,
     DomainError,
     GeodesicAnnulus,
+    catalog_surface,
     constant_curvature_metric,
     gaussian_curvature,
     h_c,
@@ -18,6 +21,7 @@ from nitsche_lab import (
     psi_big,
     psi_sharp,
     psi_small,
+    surface_metric,
 )
 
 NEG = CurvatureBound.negative(1.0)
@@ -180,11 +184,65 @@ def test_constant_metric_curvature_20_radii():
 
 def test_curvature_examples():
     hyp = constant_curvature_metric(NEG)
-    assert gaussian_curvature(hyp, 0.3) == pytest.approx(-1.0, abs=1e-6)
+    assert gaussian_curvature(hyp, 0.3) == -1.0
+    assert gaussian_curvature(hyp, 1e-9) == -1.0  # the metric's own K, right up to 0
     flat = constant_curvature_metric(FLAT)
-    assert gaussian_curvature(flat, 0.5) == pytest.approx(0.0, abs=1e-9)
-    with pytest.raises(DomainError):
-        gaussian_curvature(hyp, 1e-9)  # stencil falls off the chart
+    assert gaussian_curvature(flat, 0.5) == 0.0 and gaussian_curvature(flat, 1e300) == 0.0
+    # the gate is the open chart 0 < s < s_max
+    for bad in (0.0, -0.1, 1.0, 1.5, math.nan, [0.5, 1.0]):
+        with pytest.raises(DomainError, match="chart radius outside"):
+            gaussian_curvature(hyp, bad)
+    with pytest.raises(DomainError, match="chart radius outside"):
+        gaussian_curvature(flat, math.inf)
+
+
+def _mp_curvature(density, s):
+    """-((log h)'' + (log h)'/s) / h^2 by mpmath differentiation at 30 digits."""
+    with mpmath.workdps(30):
+        x = mpmath.mpf(s)
+        f = lambda y: mpmath.log(density(y))  # noqa: E731
+        return float(-(mpmath.diff(f, x, 2) + mpmath.diff(f, x) / x) / density(x) ** 2)
+
+
+def test_curvature_matches_mpmath_on_retyped_densities():
+    # the densities are typed again here, not read from the metrics
+    cases = [(constant_curvature_metric(FLAT), lambda s: mpmath.mpf(1), 3.0)]
+    for sigma, kappas in ((-1, (0.3, 1.0, 2.5)), (1, (0.4, 1.0, 1.7))):
+        for k in kappas:
+            bound = CurvatureBound.negative(k) if sigma < 0 else CurvatureBound.positive(k)
+            cases.append((constant_curvature_metric(bound),
+                          lambda s, k=k, sigma=sigma: 2 / (k * (1 + sigma * s**2)), 3.0))
+    for name, (a, b, k) in {"planar": (1, 0, 2), "enneper": (1, 1, 2), "enneper2": (1, 1, 4),
+                            "enneper_scaled": (2, 2, 2), "enneper_rotated": (1, 1, 2)}.items():
+        cases.append((surface_metric(CATALOG[name]), lambda s, a=a, b=b, k=k: a + b * s**k, 1.0))
+    assert len(cases) == 12
+    for m, density, top in cases:
+        s = np.array([0.02, 0.1, 0.35, 0.6, 0.85, 0.97]) * min(top, m.domain_radius)
+        got = np.asarray(gaussian_curvature(m, s))
+        want = np.array([_mp_curvature(density, x) for x in s])
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), m.label
+
+
+def _stencil_curvature(m, s):
+    """The centred 5-point stencil on log h, step max(1e-4, 1e-4 s), of earlier versions."""
+    step = np.maximum(1e-4, 1e-4 * s)
+    lh = [np.log(m.density(s + k * step)) for k in (-2.0, -1.0, 0.0, 1.0, 2.0)]
+    d1 = (lh[0] - 8 * lh[1] + 8 * lh[3] - lh[4]) / (12 * step)
+    d2 = (-lh[0] + 16 * lh[1] - 30 * lh[2] + 16 * lh[3] - lh[4]) / (12 * step**2)
+    return -(d2 + d1 / s) / m.density(s) ** 2
+
+
+def test_profile_curvature_matches_the_stencil_at_knot_midpoints():
+    # a stencil inside one knot interval sees one cubic; at a knot it would
+    # straddle the jump in the PCHIP h''
+    for s_max, n, density in ((0.9, 1000, lambda s: 2.0 / (1.0 - s**2)),
+                              (0.99, 200, lambda s: 2.0 / (1.0 - s**2)),
+                              (2.0, 1000, lambda s: 2.0 / (1.0 + s**2)),
+                              (0.999, 600, lambda s: 1 + s**2)):
+        s = np.linspace(0.0, s_max, n)
+        m = metric_from_profile(np.column_stack([s, density(s)]))
+        mid = 0.5 * (s[1:-2] + s[2:-1])
+        assert np.max(np.abs(gaussian_curvature(m, mid) - _stencil_curvature(m, mid))) <= 1e-6
 
 
 def test_profile_metric_tables():
@@ -269,23 +327,32 @@ def test_infer_bound_skips_the_last_profile_interval():
                                    CurvatureBound.negative(2.5), POS,
                                    CurvatureBound.positive(0.4), CurvatureBound.positive(1.7)])
 def test_model_d2G2_closed_form(bound):
-    import copy
-
     import sympy
 
     m = constant_curvature_metric(bound)
     rho = np.array([0.05, 0.3, 0.7, 0.95]) * min(bound.cap, 2.0)
     kappa = bound.kappa or 1.0
-    # the finite difference that every other metric keeps
-    fd = copy.copy(m)
-    fd._d2g2_analytic = None
-    assert np.allclose(m.d2G2(rho), fd.d2G2(rho), rtol=1e-6, atol=0)
     # sympy's second derivative of G^2 = sn(kappa rho)^2 / kappa^2
     r, k = sympy.symbols("r k", positive=True)
     sn = {"negative": sympy.sinh, "zero": lambda x: x, "positive": sympy.sin}[bound.sign]
     exact = sympy.lambdify((r, k), sympy.diff(sn(k * r) ** 2 / k**2, r, 2), "mpmath")
     want = np.array([float(exact(sympy.Float(x, 30), sympy.Float(kappa, 30))) for x in rho])
     assert np.allclose(m.d2G2(rho), want, rtol=1e-13, atol=0)
+
+
+def test_catalog_d2G2_matches_sympy():
+    # G = s h(s) at s = g(rho) and d/drho = (1/h) d/ds, on Enneper of order 4
+    import sympy
+
+    m = surface_metric(catalog_surface("enneper2"))
+    x = sympy.symbols("x", positive=True)
+    h = 1 + x**4
+    second = sympy.diff(sympy.diff((x * h) ** 2, x) / h, x) / h
+    exact = sympy.lambdify(x, second, "mpmath")
+    rho = np.asarray(m.distance(np.array([0.02, 0.2, 0.5, 0.8, 0.95, 0.999])))
+    s = np.asarray(m.inverse_distance(rho))  # the chart radii the metric itself reads
+    want = np.array([float(exact(sympy.Float(v, 30))) for v in s])
+    assert np.allclose(m.d2G2(rho), want, rtol=1e-12, atol=0)
 
 
 def test_load_metric_rejects_malformed_descriptions():

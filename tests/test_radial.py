@@ -9,6 +9,8 @@ from nitsche_lab import (
     CurvatureBound,
     DomainError,
     NoSolution,
+    metric_from_profile,
+    modulus_of_slope,
     catalog_surface,
     constant_curvature_metric,
     critical_modulus,
@@ -75,9 +77,10 @@ def test_shoot_flags_a_last_step_past_the_range():
     prof = shoot(enneper, 0.5, 0.0, 1.25, n_steps=8, richardson=False)
     assert prof.exited and prof.exit_time == pytest.approx(1.25)
     assert prof.rho2 > enneper.rho_max and len(prof.rho) == 9
-    with pytest.raises(DomainError):
-        critical_outer(enneper, 0.5, 1.25, n_steps=8)
-    assert critical_outer(enneper, 0.5, 1.2, n_steps=8) < enneper.rho_max
+    # the zero-slope trajectory itself leaves at t = 1.2289
+    with pytest.raises(DomainError, match="left the metric range at t = 1.2289"):
+        critical_outer(enneper, 0.5, 1.25)
+    assert critical_outer(enneper, 0.5, 1.2) < enneper.rho_max
 
 
 def test_runaway_shots_exit_at_the_float_range():
@@ -135,18 +138,107 @@ def test_critical_outer_flat_small_modulus_expansion():
 
 def test_critical_outer_monotone_in_modulus_and_inner_radius():
     for m in (FLAT, HYP, SPH):
-        vals_T = [critical_outer(m, 0.4, T, n_steps=512) for T in np.linspace(0.1, 0.9, 7)]
+        vals_T = [critical_outer(m, 0.4, T) for T in np.linspace(0.1, 0.9, 7)]
         assert np.all(np.diff(vals_T) > 0)
-        vals_r = [critical_outer(m, r, 0.5, n_steps=512) for r in np.linspace(0.2, 0.8, 7)]
+        vals_r = [critical_outer(m, r, 0.5) for r in np.linspace(0.2, 0.8, 7)]
         assert np.all(np.diff(vals_r) > 0)
 
 
 def test_critical_outer_two_integrators_agree_spherical():
-    a = critical_outer(SPH, 0.2, 0.5, n_steps=4096)
-    b = critical_outer(SPH, 0.2, 0.5, n_steps=8192)
-    assert abs(a - b) < 1e-8
+    a = critical_outer(SPH, 0.2, 0.5)
+    b = shoot(SPH, 0.2, 0.0, 0.5, n_steps=8192, richardson=False).rho2
+    assert abs(a - b) < 1e-12
     # bracketed by the flat analogue from below (positive curvature slows growth)
     assert a < critical_outer(FLAT, 0.2, 0.5)
+
+
+HYP14 = constant_curvature_metric(CurvatureBound.negative(1.4))
+ENNEPER = surface_metric(catalog_surface("enneper"))
+
+
+@pytest.mark.parametrize("m, rho1, T", [
+    (FLAT, 1.0, 0.3), (FLAT, 0.2, 5.0), (HYP, 0.5, 0.7), (HYP, 0.05, 3.5), (HYP14, 0.4, 1.0),
+    (HYP14, 0.01, 4.0), (SPH, 0.5, 2.0), (SPH, 1e-3, 6.0), (ENNEPER, 0.5, 1.228),
+    (ENNEPER, 0.01, 4.0)], ids=lambda x: getattr(x, "label", str(x)))
+def test_critical_outer_matches_an_8192_step_shot(m, rho1, T):
+    got = critical_outer(m, rho1, T)
+    ref = shoot(m, rho1, 0.0, T, n_steps=8192, richardson=False)
+    assert not ref.exited and abs(got - ref.rho2) <= 1e-9 * ref.rho2
+
+
+def test_critical_outer_walks_segments_to_the_range_end():
+    # past a radius ratio of 16 the walk takes several segments
+    for m, rho1, T in ((FLAT, 0.2, 5.0), (HYP, 0.05, 3.5), (SPH, 1e-3, 6.0)):
+        assert critical_outer(m, rho1, T) > 16 * rho1
+    # 18 segments; an RK4 shot of 8192 steps is 6e-10 off here
+    assert critical_outer(FLAT, 1.0, 50.0) == pytest.approx(math.cosh(50.0), rel=1e-12)
+    # the flat trajectory cosh(t) leaves at acosh(rho_max) = 355.585
+    exit_time = f"{math.acosh(FLAT.rho_max):.6g}"
+    with pytest.raises(DomainError, match=f"left the metric range at t = {exit_time}"):
+        critical_outer(FLAT, 1.0, 400.0)
+    with pytest.raises(DomainError, match="left the metric range"):
+        critical_outer(HYP, 1.0, 10.0)
+    # T is a positive finite modulus, and rho1 an inner radius in the range
+    for rho1, T in ((1.0, 0.0), (1.0, -1.0), (1.0, math.nan), (1.0, math.inf), (0.0, 1.0),
+                    (math.nan, 1.0), (2.0, 1.0)):
+        with pytest.raises(DomainError):
+            critical_outer(SPH, rho1, T)
+    # radii so small that q0 (b - a) underflows are refused, not divided by
+    with pytest.raises(DomainError, match="underflows"):
+        critical_outer(FLAT, 1e-200, 1.0)
+
+
+def _profile(s_max, density):
+    s = np.linspace(0.0, s_max, 200)
+    return metric_from_profile(np.c_[s, density(s)])
+
+
+# G peaks and falls below G(0.2) before the range end (G' = 0 at t = 1.86999), and
+# G peaks and stays above G(0.5) up to the range end (G' = 0 at t = 2.19426)
+BUMP = _profile(3.0, lambda s: (1.0 + s**2) ** -2)
+SPHERICAL_PROFILE = _profile(2.0, lambda s: 2.0 / (1.0 + s**2))
+
+
+@pytest.mark.parametrize("m, rho1", [(BUMP, 0.2), (SPHERICAL_PROFILE, 0.5)])
+def test_critical_outer_stops_where_G_prime_first_falls_to_zero(m, rho1):
+    shot = shoot(m, rho1, 0.0, 3.0, n_steps=8192, richardson=False)
+    turn = int(np.argmax(np.asarray(m.G_prime(shot.rho)) <= 0))  # first node past G' = 0
+    for j in (turn // 20, turn // 2, turn - turn // 20):
+        T = float(shot.t_grid[j])
+        got = critical_outer(m, rho1, T)
+        assert modulus_of_slope(m, rho1, got, 0.0) == pytest.approx(T, abs=1e-12)
+        # a profile's G' (from h and h') and the derivative of its G (through the
+        # tabulated inverse distance) differ by about 1e-7, and the shot reads G'
+        assert abs(got - shot.rho[j]) <= 1e-7 * shot.rho[j]
+    # past the maximum of G the trajectory meets G' = 0 between the shot's nodes
+    with pytest.raises(DomainError, match="met G' <= 0 at t = ") as info:
+        critical_outer(m, rho1, 3.0)
+    t_turn = float(str(info.value).rsplit("= ", 1)[1])
+    assert shot.t_grid[turn - 1] - 1e-5 <= t_turn <= shot.t_grid[turn] + 1e-5
+    assert solve_bvp(m, rho1, 1.01 * rho1, 3.0).critical_outer == math.inf
+
+
+def _sphere_zero_slope(rho1, t):
+    """cap - rho = asin(k cd(t | k^2)), k = cos(rho1): rho'' = sin(rho) cos(rho), in mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        k = mpmath.sin(mpmath.pi / 2 - mpmath.mpf(rho1))
+        return float(mpmath.pi / 2 - mpmath.asin(k * mpmath.ellipfun("cd", t, m=k * k)))
+
+
+def test_critical_outer_next_to_the_cap_is_the_linearised_oscillator():
+    # from within 1e-6 of the sphere's cap the quadrature cannot settle; there
+    # cap - rho = (cap - rho1) cos t to rounding, and the cap is met at t = pi/2
+    cap = SPH.bound.cap
+    for gap in (1e-9, 1e-7, 9e-7, 2e-6, 1e-5):
+        for T in (0.5, 1.0, 1.5):
+            exact = _sphere_zero_slope(cap - gap, T)
+            assert critical_outer(SPH, cap - gap, T) == pytest.approx(exact, abs=4e-16)
+    for gap in (1e-9, 1e-7):
+        with pytest.raises(DomainError, match="met G' <= 0 at t = 1.5708"):
+            critical_outer(SPH, cap - gap, 2.0)
+    out = solve_bvp(SPH, cap - 1e-7, cap - 1e-9, 2.0)
+    assert isinstance(out, NoSolution) and out.critical_outer == math.inf
 
 
 def test_critical_modulus_matches_flat_closed_form():

@@ -92,8 +92,8 @@ def test_catalog_curvature_negative():
         a, b, k = abs(w.a), abs(w.b), w.k
         exact = -a * b * k**2 * s ** (k - 2) / (a + b * s**k) ** 4
         assert np.all(exact < 0)
-        # the 5-point stencil's round-off, ~eps |log h| / step^2, is a few 1e-8
-        assert np.max(np.abs(gaussian_curvature(m, s) - exact)) < 1e-7, name
+        # the metric carries this closed form itself (mpmath checks it in test_metrics)
+        assert np.allclose(gaussian_curvature(m, s), exact, rtol=1e-13, atol=0), name
 
 
 def test_planar_geodesics_are_straight():
