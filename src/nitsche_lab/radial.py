@@ -12,18 +12,18 @@ because the planar Laplacian of a radial function is ``e^{-2t} rho_tt`` and
 ``|grad arg z|^2 = e^{-2t}``.  The equation conserves ``rho_t^2 - G(rho)^2``,
 so the modulus T(v0) at which the trajectory from (rho1, v0) reaches rho2 is
 one quadrature: the critical modulus is T(0), the boundary problem is the
-root of T(v0) = T, its profile is that quadrature inverted, and the end of the
-zero-slope trajectory at T is a walk of such quadratures inverted.  RK4 (with
-a half-step Richardson cross-check) runs only in :func:`shoot`, where a
-trajectory is asked for; the classical closed-form radial maps between
-Euclidean annuli are oracles.
+root of T(v0) = T, and its profile, like the end of the zero-slope trajectory
+at T, is that quadrature inverted; its panels grade on octaves, so one covers
+any radius ratio.  RK4 (with a half-step Richardson cross-check) runs only in
+:func:`shoot`, where a trajectory is asked for; the classical closed-form radial
+maps between Euclidean annuli are oracles.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -35,13 +35,13 @@ QUAD_TOL = 1e-12  # absolute error target of the T(v0) quadrature
 CRITICAL_RTOL = 1e-12  # relative band around T(0) where the inner slope is 0
 _NEAR_ZONE = 1e-3  # G - G(rho1) from G' within this fraction of G1/G1' of rho1
 _MAX_PANELS = 1 << 13
-_SEGMENT_RATIO = 16.0  # largest radius ratio of one critical_outer quadrature
 _EPS = float(np.finfo(float).eps)
 _LEG = np.polynomial.legendre
 _GL_X, _GL_W = _LEG.leggauss(32)
+_GL_U = 0.5 * (_GL_X + 1.0)  # the nodes on [0, 1]
 # Gauss values on a panel -> its Legendre coefficients (exact below degree 32)
 _GL_TO_LEG = _LEG.legvander(_GL_X, 31) * (_GL_W[:, None] * (np.arange(32) + 0.5))
-_TABLE_S = np.linspace(0.0, 1.0, 257)  # Newton start table on each panel
+_TABLE_S = np.linspace(0.0, 1.0, 257)  # Newton start table on a panel
 _GL4_S, _GL4_W = np.polynomial.legendre.leggauss(4)
 _GL4_S, _GL4_W = 0.5 * (_GL4_S + 1.0), 0.5 * _GL4_W  # on [0, 1]
 
@@ -183,44 +183,33 @@ def critical_outer(m: RotMetric, rho1: float, T: float) -> float:
 
     While G' > 0 the right-hand side G G' is positive, so this is the smallest
     outer radius any monotone radial harmonic map of modulus T can reach from
-    rho1.  Flat case: rho1 cosh(T).  Times add, T(0; rho1, b) = T(0; rho1, a) +
-    T(v_a; a, b) with v_a^2 = G(a)^2 - G(rho1)^2, so :func:`modulus_of_slope`
-    walks segments of radius ratio <= 16, each cut where G' first falls to 0 on
-    257 equal radii, and :func:`_falling_root` inverts the last.  From within
-    1e-6 of such a maximum b of G or of a positive bound's cap, where the
-    quadrature cannot settle, rho = b - (b - rho1) cos(sqrt(K) G t) linearised
-    at b.  DomainError where the trajectory leaves the metric range or meets
-    G' <= 0, where it may turn back, before T.
+    rho1.  Flat case: rho1 cosh(T).  T(0; rho1, b) inverted at T, b the range
+    end, the cap, or the first zero of G' on 256 geometric radii per factor of
+    16; within 1e-6 of a cap or maximum b of G, b - (b - rho1) cos(sqrt(K) G t).
+    DomainError where the trajectory leaves the range or meets G' <= 0 before T.
     """
     if not 0 < T < math.inf:
         raise DomainError("need a positive finite modulus T")
     cap = m.bound.cap if m.bound is not None else math.inf
     end = min(cap, float(np.nextafter(m.rho_max, 0.0)))
-    g1, a, t, v = float(m.G(rho1)), rho1, 0.0, 0.0
-    while True:
-        b = min(_SEGMENT_RATIO * a, end)
-        r = np.linspace(a, b, 257)
-        if k := int(np.argmax(np.asarray(m.G_prime(r)) <= 0)):  # G' > 0 on r[:k], not at r[k]
-            lo, w = float(r[k - 1]), float(r[k] - r[k - 1])
-            x = _falling_root(lambda x: float(m.G_prime(lo + x * w)), float(m.G_prime(lo)), 1.0)
-            b = end = cap = lo + x * w  # a maximum of G ends the walk as a cap does
-        if b == cap and t == 0 and 0 < b - a <= 1e-6 * b:
-            c = math.sqrt(max(float(m.curvature(m.inverse_distance(b))), 0.0)) * float(m.G(b))
-            if c * T <= math.pi / 2:
-                return b - (b - a) * math.cos(c * T)
-            raise DomainError(f"critical trajectory met G' <= 0 at t = {math.pi / (2 * c):.6g}")
-        if (dt := modulus_of_slope(m, a, b, v)) >= T - t:
-            break
-        if b == end:
-            where = "met G' <= 0" if end == cap else "left the metric range"
-            raise DomainError(f"critical trajectory {where} at t = {t + dt:.6g}")
-        t, a, v = t + dt, b, math.sqrt(float(m.G(b)) ** 2 - g1 * g1)
-
-    def rest(x):  # T less the time to reach a + x (b - a), none where that rounds to a
-        r = a + x * (b - a)
-        return T - t - (modulus_of_slope(m, a, r, v) if r > a else 0.0)
-
-    return a + _falling_root(rest, T - t, 1.0) * (b - a)
+    if not 0 < rho1 < end:  # NaN fails too
+        raise DomainError(f"need an inner radius 0 < rho1 < {end:.6g}")
+    r = np.geomspace(rho1, end, 256 * math.ceil(math.log(end, 16) - math.log(rho1, 16)) + 1)
+    if k := int(np.argmax(np.asarray(m.G_prime(r)) <= 0)):  # G' > 0 on r[:k], not at r[k]
+        lo, w = float(r[k - 1]), float(r[k] - r[k - 1])
+        x = _falling_root(lambda x: float(m.G_prime(lo + x * w)), float(m.G_prime(lo)), 1.0)
+        end = cap = lo + x * w  # a maximum of G ends the trajectory as a cap does
+    if end == cap and end - rho1 <= 1e-6 * end:
+        c = math.sqrt(max(float(m.curvature(m.inverse_distance(end))), 0.0)) * float(m.G(end))
+        if c * T <= math.pi / 2:
+            return end - (end - rho1) * math.cos(c * T)
+        raise DomainError(f"critical trajectory met G' <= 0 at t = {math.pi / (2 * c):.6g}")
+    quad = _quadrature(m, rho1, end, 0.0)
+    if quad[0] < T:
+        where = "met G' <= 0" if end == cap else "left the metric range"
+        raise DomainError(f"critical trajectory {where} at t = {quad[0]:.6g}")
+    sigma, _ = _sample(quad, np.array([T]))
+    return float(quad[3](sigma)[0][0])
 
 
 def modulus_of_slope(m: RotMetric, rho1: float, rho2: float, v0: float,
@@ -231,22 +220,25 @@ def modulus_of_slope(m: RotMetric, rho1: float, rho2: float, v0: float,
     strictly decreasing in v0 and below (rho2 - rho1)/v0.  In tau =
     sqrt(v0^2 + q0 u) - v0 (u = rho - rho1) the integrand 2 (v0 + tau) /
     (q0 sqrt(v0^2 + G^2 - G1^2)) is smooth for every v0 >= 0; 32-point
-    Gauss-Legendre panels in sigma, tau = tau_max sigma^2, keep its weak
-    branch point near -v0 sqrt(v0 / tau_max) away.  Panels double until two
-    successive sums agree to ``tol``.  Data is admitted by
-    :meth:`RotMetric.check_annulus`; DomainError where the radicand
-    v0^2 + G^2 - G1^2 <= 0, where the trajectory would turn back.
+    Gauss-Legendre panels on octaves of sigma, tau = tau_max sigma^2, keep its
+    weak branch point near -v0 sqrt(v0 / tau_max) away, and halve until two
+    successive sums agree to ``tol``.  Data is admitted by :meth:`RotMetric.check_annulus`;
+    DomainError where v0^2 + G^2 - G1^2 <= 0, where the trajectory would turn back.
     """
     return _quadrature(m, rho1, rho2, v0, tol)[0]
 
 
 def _quadrature(m: RotMetric, rho1: float, rho2: float, v0: float, tol: float = QUAD_TOL):
-    """T(v0), its panel count, dt/dsigma on its nodes, sigma -> (rho, exact slope)."""
+    """T(v0), its panel edges in sigma, dt/dsigma on its nodes, sigma -> (rho, exact slope).
+    Base panels [0, 2^-J], [2^-J, 2^(1-J)], ..., [1/2, 1], J = floor(log2(rho2/rho1)/4):
+    u grows like sigma^4 at v0 = 0, so each octave spans a radius ratio of about 16."""
     if not 0 <= v0 < math.inf:
         raise DomainError("need a finite slope v0 >= 0")
+    g1 = float(m.G(rho1))
+    if rho1 > 0 and not g1 * g1 >= np.finfo(float).tiny:  # before rho2/rho1 can overflow
+        raise DomainError(f"G(rho1)^2 underflows at rho1 = {rho1:.6g}")
     m.check_annulus(rho1, rho2)
     q0 = float(m.dG2(rho1))
-    g1 = float(m.G(rho1))
     if not q0 * (rho2 - rho1) > 0:  # radii near the float minimum
         raise DomainError(f"q0 (rho2 - rho1) underflows to 0 at rho1 = {rho1:.6g}")
     near_u = _NEAR_ZONE * 2.0 * g1 * g1 / q0  # a fraction of the length G1/G1'
@@ -276,42 +268,43 @@ def _quadrature(m: RotMetric, rho1: float, rho2: float, v0: float, tol: float = 
                               "turns back before rho2")
         return 2.0 * (v0 + tau) / np.sqrt(radicand) / q0  # q0 sqrt(radicand) may overflow
 
-    prev, panels = math.nan, 1
-    while panels <= _MAX_PANELS:
-        h = 1.0 / panels
-        sigma = (h * np.arange(panels)[:, None] + 0.5 * h * (_GL_X + 1.0)).ravel()
+    n_base = int(math.log2(rho2 / rho1) // 4) + 1
+    knots, base = np.arange(n_base + 1), np.append(0.0, np.ldexp(1.0, np.arange(1 - n_base, 1)))
+    prev, split = math.nan, 1
+    while n_base * split <= _MAX_PANELS:
+        edges = np.interp(np.arange(n_base * split + 1) / split, knots, base)
+        w = np.diff(edges)
+        sigma = (edges[:-1, None] + w[:, None] * _GL_U).ravel()
         vals = integrand(tau_max * sigma * sigma) * (2.0 * tau_max * sigma)
-        total = 0.5 * h * float(np.sum(vals.reshape(panels, -1) @ _GL_W))
+        total = 0.5 * float(np.sum(w * (vals.reshape(len(w), -1) @ _GL_W)))
         if abs(total - prev) <= max(tol, 64 * _EPS * abs(total)):
-            return total, panels, vals, rho_slope
-        prev, panels = total, 2 * panels
+            return total, edges, vals, rho_slope
+        prev, split = total, 2 * split
     raise DivergenceError(f"T(v0) quadrature did not settle to {tol:g} on {_MAX_PANELS} panels")
 
 
-def _sample(quad, n: int):
-    """rho, slope and inversion error at t_k = k T(v0)/n: Newton in sigma from a 257-point
-    table per panel, on the exact integral t(sigma) of each panel's series of dt/dsigma."""
-    _, p, dt_dsigma, rho_slope = quad
-    dt_dx = (dt_dsigma.reshape(p, -1) @ _GL_TO_LEG).T * (0.5 / p)  # x in [-1, 1]
+def _sample(quad, targets: np.ndarray):
+    """sigma and the miss |t(sigma) - t| at each time t of ``targets``: Newton from a 257-point
+    table, on the exact integral t(x) of the series of dt/dx on the panel whose times hold t."""
+    _, edges, dt_dsigma, _ = quad
+    w = np.diff(edges)
+    dt_dx = (dt_dsigma.reshape(len(w), -1) @ _GL_TO_LEG).T * (0.5 * w)  # x in [-1, 1]
     t_x = _LEG.legint(dt_dx, lbnd=-1)
     start = np.concatenate([[0.0], np.cumsum(2.0 * dt_dx[0])])
-
-    def t_of(sigma):
-        k = np.minimum((sigma * p).astype(int), p - 1)
-        x = 2.0 * (sigma * p - k) - 1.0
-        return (start[k] + _LEG.legval(x, t_x[:, k], tensor=False),
-                _LEG.legval(x, dt_dx[:, k], tensor=False) * (2.0 * p))
-
-    target = np.arange(1, n) * (start[-1] / n)
-    table = start[:-1, None] + _LEG.legval(2.0 * _TABLE_S - 1.0, t_x)
-    sigma = np.interp(target, table.ravel(), ((np.arange(p)[:, None] + _TABLE_S) / p).ravel())
+    k = np.minimum(np.searchsorted(start, targets, side="right") - 1, len(w) - 1)
+    held, row = np.unique(np.append(k, 0), return_inverse=True)  # never an empty table
+    table = start[held, None] + _LEG.legval(2.0 * _TABLE_S - 1.0, t_x[:, held])
+    at = np.interp(np.sqrt(targets), np.sqrt(np.abs(table.ravel())),  # t ~ sigma^2 at sigma = 0
+                   (np.arange(held.size)[:, None] + _TABLE_S).ravel())
+    x = 2.0 * np.clip(at - row[:-1], 0.0, 1.0) - 1.0
+    reach = np.max(targets, initial=0.0)  # the Newton tolerance is relative to it
+    t_k, t_xk, dt_dxk = start[k], t_x[:, k], dt_dx[:, k]  # each target keeps its panel
     for sweep in range(8):
-        t, dt = t_of(sigma)
-        if sweep == 7 or np.max(np.abs(t - target), initial=0.0) <= 4 * _EPS * start[-1]:
+        t = t_k + _LEG.legval(x, t_xk, tensor=False)
+        if sweep == 7 or np.max(np.abs(t - targets), initial=0.0) <= 4 * _EPS * reach:
             break
-        sigma = sigma - (t - target) / dt
-    rho, slope = rho_slope(np.concatenate([[0.0], sigma, [1.0]]))
-    return rho, slope, float(np.max(np.abs(t - target) * slope[1:-1], initial=0.0))
+        x = x - (t - targets) / _LEG.legval(x, dt_dxk, tensor=False)
+    return edges[k] + 0.5 * w[k] * (x + 1.0), np.abs(t - targets)
 
 
 def _falling_root(f, f0: float, hi: float) -> float:
@@ -353,15 +346,19 @@ def solve_bvp(m: RotMetric, rho1: float, rho2: float, T: float,
               n_steps: int = DEFAULT_STEPS):
     """Monotone radial solution with rho(0) = rho1, rho(T) = rho2, or NoSolution.
 
-    The inner slope is the root of T(v0) = T (:func:`modulus_of_slope`) on the
-    proven bracket [0, (rho2 - rho1)/T], where T(v0) - T is strictly decreasing.
-    :class:`NoSolution` comes exactly when T(0) < T; within a relative 1e-12
-    of T(0) the slope is 0.  The profile inverts the quadrature at t_k T(v0)/T on
+    The inner slope v0 = G(rho1) sinh s solves T(v0) = T (:func:`modulus_of_slope`)
+    on the proven bracket v0 in [0, (rho2 - rho1)/T], where T(v0) - T is strictly
+    decreasing; s is linear in v0 below G(rho1) and logarithmic above, so the
+    root's stopping rule has no absolute scale.  :class:`NoSolution` comes
+    exactly when T(0) < T; within a relative 1e-12 of T(0) the slope is 0.  The
+    profile inverts the quadrature (:func:`_sample`) at t_k T(v0)/T on
     ``n_steps + 1`` equal nodes t_k, with the exact slope; ``boundary_error`` is its miss at rho2.
     """
     if not (0 < T < math.inf and n_steps >= 1):
         raise DomainError("need a positive finite modulus T and n_steps >= 1")
-    t_crit = modulus_of_slope(m, rho1, rho2, 0.0)
+    g1 = float(m.G(rho1))
+    quad = cache(lambda s: _quadrature(m, rho1, rho2, g1 * math.sinh(s)))  # the root's is kept
+    t_crit = quad(0.0)[0]
     if t_crit < T * (1.0 - CRITICAL_RTOL):
         try:
             outer = critical_outer(m, rho1, T)
@@ -369,13 +366,14 @@ def solve_bvp(m: RotMetric, rho1: float, rho2: float, T: float,
             outer = math.inf
         return NoSolution(rho1=rho1, rho2=rho2, modulus=T, critical_outer=outer,
                           reason=f"critical modulus T(0) = {t_crit:.10g} < Mod = {T:.10g}")
-    slope = 0.0
+    s = 0.0
     if t_crit > T * (1.0 + CRITICAL_RTOL):
-        slope = _falling_root(lambda v: modulus_of_slope(m, rho1, rho2, v) - T,
-                              t_crit - T, (rho2 - rho1) / T)
-    rho, slopes, residual = _sample(_quadrature(m, rho1, rho2, slope), n_steps)
+        s = _falling_root(lambda s: quad(s)[0] - T, t_crit - T, math.asinh((rho2 - rho1) / T / g1))
+    sigma, miss = _sample(quad(s), np.arange(1, n_steps) * (quad(s)[0] / n_steps))
+    rho, slopes = quad(s)[3](np.concatenate([[0.0], sigma, [1.0]]))
     return RadialProfile(t_grid=np.linspace(0.0, T, n_steps + 1), rho=rho, slope=slopes,
-                         slope0=float(slope), residual=residual, metric=m,
+                         slope0=g1 * math.sinh(s), metric=m,
+                         residual=float(np.max(miss * slopes[1:-1], initial=0.0)),
                          boundary_error=abs(float(rho[-1]) - rho2))
 
 

@@ -169,9 +169,14 @@ def test_extreme_numbers_keep_the_contract(capsys):
                      "--mod", "0.5", "--quiet"]) == 4
         assert main(["check-bound", "--sign", "zero", "--rho1", "9e307", "--rho2", "1e308",
                      "--mod", "1", "--quiet"]) == 4
-        # radii so small that the first integral's q0 (rho2 - rho1) underflows
-        assert main(["solve-radial", *flat[:2], "--rho1", "1e-200", "--rho2", "2e-200",
-                     "--mod", "0.5", "--quiet"]) == 4
+        # radii so small that the first integral's G(rho1)^2 underflows
+        for rho1, rho2 in (("1e-200", "2e-200"), ("1e-155", "2e-155")):
+            assert main(["solve-radial", *flat[:2], "--rho1", rho1, "--rho2", rho2,
+                         "--mod", "0.5", "--quiet"]) == 4
+        # radius ratios past 1e17 are solved, on octave-graded quadrature panels
+        for rho1, rho2 in (("1", "1e20"), ("1e-20", "1")):
+            assert main(["solve-radial", *flat[:2], "--rho1", rho1, "--rho2", rho2,
+                         "--mod", "1", "--quiet"]) == 0
     err = capsys.readouterr().err
     assert "distance range [0, 1.34078e+154) of flat" in err
     assert err.count("distance range [0, 3.55238e-298)") == 2

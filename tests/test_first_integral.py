@@ -83,10 +83,38 @@ def test_critical_modulus_up_to_the_spherical_cap():
 
 
 @pytest.mark.parametrize("rho1, rho2", [(0.8, 1.0), (0.4, 1.1), (1.0, 2.0), (0.1, 2.0),
-                                        (0.5, 0.51), (1.0, 1.0 + 1e-6), (1e-3, 2.0)])
+                                        (0.5, 0.51), (1.0, 1.0 + 1e-6), (1e-3, 2.0), (1.0, 1e20)])
 def test_critical_modulus_flat_closed_form(rho1, rho2):
     assert nl.critical_modulus(FLAT, rho1, rho2) == pytest.approx(math.acosh(rho2 / rho1),
                                                                   abs=1e-13)
+
+
+@pytest.mark.parametrize("ratio", [16.0, 1e3, 1e17, 1e20, 1e50, 1e150])
+def test_graded_quadrature_matches_the_flat_closed_form(ratio):
+    # one octave of panels per radius ratio of about 16 settles at any ratio
+    for v0 in (0.0, 1e-6, 0.5, 10.0):
+        want = _flat_modulus(1.0, ratio, v0)
+        assert nl.modulus_of_slope(FLAT, 1.0, ratio, v0) == pytest.approx(want, rel=1e-14, abs=0)
+
+
+def _segment_sum(m, rho1, rho2, v0):
+    """T(v0) as a sum over radius segments of ratio 15, each on one ungraded panel run:
+    T(v0; rho1, b) = T(v0; rho1, a) + T(v_a; a, b), v_a^2 = v0^2 + G(a)^2 - G(rho1)^2."""
+    g1, t, a = float(m.G(rho1)), 0.0, rho1
+    while a < rho2:
+        b = min(15.0 * a, rho2)
+        t += nl.modulus_of_slope(m, a, b, math.sqrt(v0 * v0 + float(m.G(a)) ** 2 - g1 * g1))
+        a = b
+    return t
+
+
+@pytest.mark.parametrize("m, rho1, rho2", [(HYP, 1e-6, 20.0), (SPH, 1e-8, 1.5),
+                                           (ENNEPER, 1e-6, 1.3)],
+                         ids=lambda x: getattr(x, "label", str(x)))
+def test_graded_quadrature_matches_a_sum_of_segments(m, rho1, rho2):
+    for v0 in (0.0, 1e-7, 0.3, 5.0):
+        want = _segment_sum(m, rho1, rho2, v0)
+        assert nl.modulus_of_slope(m, rho1, rho2, v0) == pytest.approx(want, rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("v0", [1e-8, 1e-6, 1e-4, 1e-2, 0.3, 2.0])
@@ -224,6 +252,22 @@ def test_solve_bvp_slope_reaches_the_modulus(sign, kappa, outer, inner, beta):
     T = beta * nl.critical_modulus(m, rho1, rho2)
     sol = nl.solve_bvp(m, rho1, rho2, T, n_steps=16)
     assert nl.modulus_of_slope(m, rho1, rho2, sol.slope0) == pytest.approx(T, rel=1e-12)
+
+
+@settings(max_examples=20, deadline=None)
+@given(log_rho1=st.floats(-50.0, 50.0), log_ratio=st.floats(math.log10(1.02), 16.0),
+       frac=st.floats(0.3, 0.999))
+def test_solve_bvp_slope_has_no_absolute_scale(log_rho1, log_ratio, frac):
+    # the flat map is rho1 cosh t + v0 sinh t with v0 = (rho2 - rho1 cosh T)/sinh T,
+    # at every scale of rho1
+    rho1 = 10.0**log_rho1
+    rho2 = rho1 * 10.0**log_ratio
+    T = frac * math.acosh(rho2 / rho1)
+    sol = nl.solve_bvp(FLAT, rho1, rho2, T, n_steps=2)
+    v0 = (rho2 - rho1 * math.cosh(T)) / math.sinh(T)
+    assert sol.slope0 == pytest.approx(v0, rel=1e-9, abs=0)
+    assert sol.rho[1] == pytest.approx(rho1 * math.cosh(T / 2) + v0 * math.sinh(T / 2),
+                                     rel=1e-9, abs=0)
 
 
 @settings(max_examples=40, deadline=None)

@@ -23,6 +23,7 @@ from nitsche_lab import (
     solve_bvp,
     surface_metric,
 )
+from nitsche_lab import radial
 
 FLAT = constant_curvature_metric(CurvatureBound.zero())
 HYP = constant_curvature_metric(CurvatureBound.negative(1.0))
@@ -166,12 +167,20 @@ def test_critical_outer_matches_an_8192_step_shot(m, rho1, T):
     assert not ref.exited and abs(got - ref.rho2) <= 1e-9 * ref.rho2
 
 
-def test_critical_outer_walks_segments_to_the_range_end():
-    # past a radius ratio of 16 the walk takes several segments
+def test_critical_outer_is_one_quadrature_to_the_range_end(monkeypatch):
+    calls = []
+
+    def counting(*args, real=radial._quadrature, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(radial, "_quadrature", counting)
+    # past a radius ratio of 16 the quadrature grades its panels on octaves
     for m, rho1, T in ((FLAT, 0.2, 5.0), (HYP, 0.05, 3.5), (SPH, 1e-3, 6.0)):
         assert critical_outer(m, rho1, T) > 16 * rho1
-    # 18 segments; an RK4 shot of 8192 steps is 6e-10 off here
+    # an RK4 shot of 8192 steps is 6e-10 off here
     assert critical_outer(FLAT, 1.0, 50.0) == pytest.approx(math.cosh(50.0), rel=1e-12)
+    assert len(calls) == 4
     # the flat trajectory cosh(t) leaves at acosh(rho_max) = 355.585
     exit_time = f"{math.acosh(FLAT.rho_max):.6g}"
     with pytest.raises(DomainError, match=f"left the metric range at t = {exit_time}"):
@@ -183,9 +192,13 @@ def test_critical_outer_walks_segments_to_the_range_end():
                     (math.nan, 1.0), (2.0, 1.0)):
         with pytest.raises(DomainError):
             critical_outer(SPH, rho1, T)
-    # radii so small that q0 (b - a) underflows are refused, not divided by
-    with pytest.raises(DomainError, match="underflows"):
-        critical_outer(FLAT, 1e-200, 1.0)
+    # radii whose G(rho1)^2 is below the smallest normal float are refused, not
+    # divided by, and not said to turn back
+    for rho1 in (1e-155, 1e-160, 1e-200):
+        with pytest.raises(DomainError, match="underflows"):
+            critical_outer(FLAT, rho1, 1.0)
+        with pytest.raises(DomainError, match="underflows"):
+            modulus_of_slope(FLAT, rho1, 2 * rho1, 0.0)
 
 
 def _profile(s_max, density):
