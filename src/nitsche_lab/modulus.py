@@ -7,10 +7,10 @@ doubly connected region it is computed through the capacity
 characterisation: solve the Laplace problem with values 0 and 1 on the two
 boundary loops and return 2 pi divided by the Dirichlet energy.  The Laplace
 solve applies the masked 5-point stencil on the log-polar chart (where the
-energy is conformally invariant) matrix-free, by gathering each unknown's four
-neighbours, and runs conjugate gradients from the linear profile in t between
-the loops, exact when every grid row has one role (rotationally symmetric
-masks); the energy uses midpoint quadrature on cells.
+energy is conformally invariant) matrix-free, as shifted slices of one
+ghost-framed array, and runs conjugate gradients from the linear profile in t
+between the loops, exact when every grid row has one role (rotationally
+symmetric masks); the energy uses midpoint quadrature on cells.
 """
 
 from __future__ import annotations
@@ -62,16 +62,14 @@ class MaskedPolarDomain:
         step = np.diff(t) if t.ndim == 1 and len(t) > 1 else np.array([np.nan])
         if not (np.isfinite(t).all() and (step > 0).all() and np.ptp(step) <= 1e-9 * step.mean()):
             raise MaskError("t must be 1-D, finite, strictly increasing and uniformly spaced")
-        if not np.isin(self.roles, (INTERIOR, INNER, OUTER, OUTSIDE)).all():
+        if not np.array_equal(self.roles, np.clip(np.round(self.roles.real), INTERIOR, OUTSIDE)):
             raise MaskError("role codes must be INTERIOR, INNER, OUTER or OUTSIDE")
         if self.roles.shape != (len(self.t), self.n_theta):
             raise MaskError("roles array must be (n_t, n_theta)")
-        inner = self.roles == INNER
-        outer = self.roles == OUTER
+        inner, outer = self.roles == INNER, self.roles == OUTER
         if not inner.any() or not outer.any():
             raise MaskError("need two nonempty boundary loops")
-        # loops must not touch: no inner node next to an outer node along t,
-        # nor along phi (across the periodic seam too)
+        # loops must not touch: no inner node next to an outer one along t or phi (seam too)
         touch = inner[:-1] & outer[1:] | outer[:-1] & inner[1:]
         side = inner & np.roll(outer, 1, axis=1) | outer & np.roll(inner, 1, axis=1)
         if touch.any() or side.any():
@@ -98,11 +96,9 @@ def masked_from_circular(r1: float, r2: float, n: int) -> MaskedPolarDomain:
     """Exact polar mask of a circular annulus on an n x n grid."""
     if n < 16:
         raise DomainError("need n >= 16")
-    t = np.linspace(math.log(r1), math.log(r2), n)
     roles = np.full((n, n), INTERIOR, dtype=np.int8)
-    roles[0] = INNER
-    roles[-1] = OUTER
-    return MaskedPolarDomain(t=t, n_theta=n, roles=roles)
+    roles[0], roles[-1] = INNER, OUTER
+    return MaskedPolarDomain(t=np.linspace(math.log(r1), math.log(r2), n), n_theta=n, roles=roles)
 
 
 def masked_geodesic_annulus(m: RotMetric, rho1: float, rho2: float,
@@ -126,54 +122,53 @@ def masked_geodesic_annulus(m: RotMetric, rho1: float, rho2: float,
         hi = min(hi, math.log(m.domain_radius * (1 - 1e-9)))
     t = np.linspace(t_lo - 3.414 * cell, hi, n)
     dist = np.asarray(m.distance(np.exp(t)), dtype=float)
-    i_in = int(np.argmin(np.abs(dist - rho1)))
-    i_out = int(np.argmin(np.abs(dist - rho2)))
+    i_in, i_out = (int(np.argmin(np.abs(dist - rho))) for rho in (rho1, rho2))
     if i_out - i_in < 4:
         raise MaskError("level circles resolve to fewer than 4 cells apart")
     roles = np.full((n, n), OUTSIDE, dtype=np.int8)
-    roles[i_in] = INNER
-    roles[i_out] = OUTER
-    roles[i_in + 1 : i_out] = INTERIOR
+    roles[i_in], roles[i_in + 1 : i_out], roles[i_out] = INNER, INTERIOR, OUTER
     return MaskedPolarDomain(t=t, n_theta=n, roles=roles)
 
 
 def _laplace_solve(d: MaskedPolarDomain) -> np.ndarray:
     """5-point Laplace solve on the mask; returns the full potential field (NaN outside).
 
-    The operator is matrix-free: each unknown gathers its four neighbours from
-    the iterate padded by one zero slot, which every non-unknown neighbour reads.
+    The operator is matrix-free on one frame: the grid with a zero row beyond each
+    end and a ghost column beyond each side of the seam, refreshed from the opposite
+    edge on every apply, so four shifted slices of the flat frame are the neighbours.
     CG starts from clip((t - t_a)/(t_b - t_a), 0, 1), t_a the highest inner and
     t_b the lowest outer node: exact, so accepted as is, when rows have one role.
     """
     nT, nP = d.roles.shape
     w_t, w_p = 1 / d.h_t**2, 1 / d.h_phi**2
     unknown = d.roles == INTERIOR
-    N = int(unknown.sum())
-    if N == 0:
+    if (N := int(unknown.sum())) == 0:
         raise MaskError("mask has no interior nodes")
-    # one OUTSIDE row beyond each end, so a row shift stays in the array
-    roles = np.pad(d.roles, ((1, 1), (0, 0)), constant_values=OUTSIDE)
-    index = np.full(roles.shape, N, dtype=np.int64)
-    index[1:-1][unknown] = np.arange(N)
+    frame = np.zeros((nT + 2, W := nP + 2))  # a row: ghost column, nP grid columns, ghost column
+    flat, body, acc, tmp = frame.ravel(), frame[1:-1, 1:-1], np.empty(nT * W), np.empty(nT * W)
+    rows = np.pad(unknown, ((0, 0), (1, 1))).ravel()  # the unknowns in frame rows 1..nT
 
-    def neighbour(a, di, dj):
-        return np.roll(a[1 + di : 1 + di + nT], -dj, axis=1)[unknown]
+    def neighbours(w_t, w_p):  # w_t times the t-neighbours + w_p times the phi-neighbours
+        frame[:, 0], frame[:, -1] = frame[:, -2], frame[:, 1]
+        s = np.multiply(np.add(flat[2 * W :], flat[: -2 * W], out=acc), w_t, out=acc)
+        s += np.multiply(flat[W + 1 : 1 - W], w_p, out=tmp)
+        return np.add(s, np.multiply(flat[W - 1 : -1 - W], w_p, out=tmp), out=s)[rows]
 
-    steps = ((1, 0, w_t), (-1, 0, w_t), (0, 1, w_p), (0, -1, w_p))
-    nbrs, b = [], np.zeros(N)
-    for di, dj, w in steps:
-        role = neighbour(roles, di, dj)
-        if np.any(role == OUTSIDE):
-            raise MaskError("an interior node touches the outside; mask is not closed")
-        nbrs.append(neighbour(index, di, dj))
-        b += w * (role == OUTER)
-    nbrs, weights = np.stack(nbrs), np.array([w for _, _, w in steps])
-    A = spla.LinearOperator((N, N), dtype=float, matvec=lambda x: (
-        (2 * w_t + 2 * w_p) * x - weights @ np.append(x, 0.0)[nbrs]))
+    body[...] = d.roles != OUTSIDE
+    if np.any(neighbours(1.0, 1.0) < 4):
+        raise MaskError("an interior node touches the outside; mask is not closed")
+    body[...] = d.roles == OUTER
+    b = neighbours(w_t, w_p)
+    body[...] = 0.0
 
-    t = np.broadcast_to(d.t[:, None], (nT, nP))
-    t_a, t_b = t[d.roles == INNER].max(), t[d.roles == OUTER].min()
-    x0 = np.clip((t[unknown] - t_a) / (t_b - t_a), 0.0, 1.0) if t_b > t_a else np.zeros(N)
+    def matvec(x):
+        flat[W:-W][rows] = x
+        return (2 * w_t + 2 * w_p) * x - neighbours(w_t, w_p)
+
+    A = spla.LinearOperator((N, N), dtype=float, matvec=matvec)
+    t_a, t_b = d.t[(d.roles == INNER).any(1)].max(), d.t[(d.roles == OUTER).any(1)].min()
+    ramp = np.clip((d.t - t_a) / (t_b - t_a), 0.0, 1.0) if t_b > t_a else np.zeros(nT)
+    x0 = np.broadcast_to(ramp[:, None], (nT, nP))[unknown]
     x, info = spla.cg(A, b, x0=x0, rtol=1e-10, atol=0.0, maxiter=40 * max(nT, nP))
     if info != 0:
         raise DivergenceError(f"capacity CG did not converge (info={info})")
@@ -190,7 +185,7 @@ def _cell_density(u: np.ndarray, h_t: float, h_phi: float, seam_jump: float = 0.
     c00, c10, c01, c11 = u[:-1], u[1:], right[:-1], right[1:]
     du_dt = 0.5 * ((c10 - c00) + (c11 - c01)) / h_t
     du_dp = 0.5 * ((c01 - c00) + (c11 - c10)) / h_phi
-    return du_dt**2 + du_dp**2
+    return np.add(np.square(du_dt, out=du_dt), np.square(du_dp, out=du_dp), out=du_dt)
 
 
 def _cell_energy(u: np.ndarray, h_t: float, h_phi: float) -> float:
@@ -203,8 +198,7 @@ def modulus_capacity(d: DoublyConnectedDomain, n: int = 256) -> float:
     """Capacity modulus 2 pi / DirichletEnergy(u) of a doubly connected domain."""
     if isinstance(d, Circular):
         d = masked_from_circular(d.r1, d.r2, n)
-    u = _laplace_solve(d)
-    energy = _cell_energy(u, d.h_t, d.h_phi)
+    energy = _cell_energy(_laplace_solve(d), d.h_t, d.h_phi)
     if energy <= 0:
         raise DomainError("degenerate capacity problem (zero Dirichlet energy)")
     return 2 * math.pi / energy

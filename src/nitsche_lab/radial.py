@@ -228,12 +228,8 @@ def modulus_of_slope(m: RotMetric, rho1: float, rho2: float, v0: float,
     return _quadrature(m, rho1, rho2, v0, tol)[0]
 
 
-def _quadrature(m: RotMetric, rho1: float, rho2: float, v0: float, tol: float = QUAD_TOL):
-    """T(v0), its panel edges in sigma, dt/dsigma on its nodes, sigma -> (rho, exact slope).
-    Base panels [0, 2^-J], [2^-J, 2^(1-J)], ..., [1/2, 1], J = floor(log2(rho2/rho1)/4):
-    u grows like sigma^4 at v0 = 0, so each octave spans a radius ratio of about 16."""
-    if not 0 <= v0 < math.inf:
-        raise DomainError("need a finite slope v0 >= 0")
+def _admit(m: RotMetric, rho1: float, rho2: float):
+    """Admits the data of T(v0): G(rho1), q0 = (G^2)'(rho1), near_u, which no slope changes."""
     g1 = float(m.G(rho1))
     if rho1 > 0 and not g1 * g1 >= np.finfo(float).tiny:  # before rho2/rho1 can overflow
         raise DomainError(f"G(rho1)^2 underflows at rho1 = {rho1:.6g}")
@@ -241,7 +237,16 @@ def _quadrature(m: RotMetric, rho1: float, rho2: float, v0: float, tol: float = 
     q0 = float(m.dG2(rho1))
     if not q0 * (rho2 - rho1) > 0:  # radii near the float minimum
         raise DomainError(f"q0 (rho2 - rho1) underflows to 0 at rho1 = {rho1:.6g}")
-    near_u = _NEAR_ZONE * 2.0 * g1 * g1 / q0  # a fraction of the length G1/G1'
+    return g1, q0, _NEAR_ZONE * 2.0 * g1 * g1 / q0  # a fraction of the length G1/G1'
+
+
+def _quadrature(m: RotMetric, rho1: float, rho2: float, v0: float, tol=QUAD_TOL, admitted=None):
+    """T(v0), its panel edges in sigma, dt/dsigma on its nodes, sigma -> (rho, exact slope).
+    Base panels [0, 2^-J], [2^-J, 2^(1-J)], ..., [1/2, 1], J = floor(log2(rho2/rho1)/4):
+    u grows like sigma^4 at v0 = 0, so each octave spans a radius ratio of about 16."""
+    if not 0 <= v0 < math.inf:
+        raise DomainError("need a finite slope v0 >= 0")
+    g1, q0, near_u = admitted or _admit(m, rho1, rho2)
     tau_max = q0 * (rho2 - rho1) / (math.sqrt(v0 * v0 + q0 * (rho2 - rho1)) + v0)
 
     def rho_radicand(tau):
@@ -356,8 +361,8 @@ def solve_bvp(m: RotMetric, rho1: float, rho2: float, T: float,
     """
     if not (0 < T < math.inf and n_steps >= 1):
         raise DomainError("need a positive finite modulus T and n_steps >= 1")
-    g1 = float(m.G(rho1))
-    quad = cache(lambda s: _quadrature(m, rho1, rho2, g1 * math.sinh(s)))  # the root's is kept
+    g1 = (admitted := _admit(m, rho1, rho2))[0]  # once; each slope's quadrature is kept
+    quad = cache(lambda s: _quadrature(m, rho1, rho2, g1 * math.sinh(s), admitted=admitted))
     t_crit = quad(0.0)[0]
     if t_crit < T * (1.0 - CRITICAL_RTOL):
         try:

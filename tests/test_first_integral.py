@@ -330,12 +330,24 @@ def test_import_leaves_scipy_solvers_unloaded():
             "'--n', '16', '--quiet']); "
             "print(code, [m for m in ('scipy.interpolate', 'scipy.integrate') "
             "if m in sys.modules])")
+    assert _fresh_python(code).stdout.splitlines() == ["[]", "0 []", "0 []"]
+
+
+def test_bench_tracing_instruments_the_package():
+    # as the traced cli child does: every traced name and SciPy's cg is wrapped, then restored
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from nitsche_lab import cli; from tracing import Tracer, instrument; "
+            "instrument(Tracer())()")
+    _fresh_python(code, str(Path(__file__).resolve().parents[1] / "bench"))
+
+
+def _fresh_python(code, *args):
+    """``python -c code args`` in a new interpreter that imports this package; raises on failure."""
     src = str(Path(nl.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env=env)
-    assert out.stdout.splitlines() == ["[]", "0 []", "0 []"]
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          check=True, env=env)
 
 
 def test_modulus_of_slope_past_a_maximum_of_G():

@@ -1,6 +1,7 @@
 """Conformal modulus: closed forms, capacity solves, angular energy."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -262,9 +263,66 @@ def test_masked_domain_rejects_unknown_role_codes():
     roles[0], roles[-1] = INNER, OUTER
     assert modulus_capacity(MaskedPolarDomain(t=t, n_theta=32, roles=roles)) == pytest.approx(
         math.log(2), rel=0, abs=1e-12)
-    roles[5, 3] = 7  # was read as a 0-valued boundary node: modulus 0.6914
-    with pytest.raises(MaskError, match="role codes"):
-        MaskedPolarDomain(t=t, n_theta=32, roles=roles)
+    # a whole-number float code is a code; 7 was once read as a 0-valued boundary node
+    as_float = roles.astype(float)
+    assert modulus_capacity(MaskedPolarDomain(t=t, n_theta=32, roles=as_float)) == pytest.approx(
+        math.log(2), rel=0, abs=1e-12)
+    for bad, code in ((roles, 7), (roles, -1), (as_float, 1.5), (as_float, np.nan)):
+        bad = bad.copy()
+        bad[5, 3] = code
+        with pytest.raises(MaskError, match="role codes"):
+            MaskedPolarDomain(t=t, n_theta=32, roles=bad)
+
+
+def _open_mask(edits, invert=False):
+    """Rows 0 inner, 1-10 interior, 11 outer, 12-15 outside on 16 x 16, with (i, j, role) edits."""
+    roles = np.full((16, 16), OUTSIDE, dtype=np.int8)
+    roles[0], roles[1:11], roles[11] = INNER, INTERIOR, OUTER
+    for i, j, role in edits:
+        roles[i, j] = role
+    d = MaskedPolarDomain(t=np.linspace(0.0, 1.0, 16), n_theta=16, roles=roles)
+    return d.inverted() if invert else d
+
+
+@pytest.mark.parametrize("edits, invert", [
+    ([(11, 5, INTERIOR)], False),  # its t-neighbour (12, 5) is outside, its phi-neighbours outer
+    ([(0, 5, INTERIOR)], False),   # on the first row: its t-neighbour is off the chart
+    ([(0, 5, INTERIOR)], True),    # the same on the last row
+    # (11, 0) meets the outside only at (11, 15), across the seam
+    ([(11, 0, INTERIOR), (12, 0, OUTER), (10, 15, OUTER), (11, 15, OUTSIDE)], False),
+], ids=["outside-along-t", "first-row", "last-row", "outside-across-seam"])
+def test_open_mask_is_refused(edits, invert):
+    assert modulus_capacity(_open_mask([], invert)) == pytest.approx(11 / 15, rel=0, abs=1e-12)
+    with pytest.raises(MaskError, match="touches the outside"):
+        modulus_capacity(_open_mask(edits, invert))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n_t=st.integers(5, 16), n_theta=st.integers(1, 24), span=st.floats(0.05, 5.0),
+       hollow=st.booleans(), data=st.data())
+def test_operator_matches_reference_on_random_masks(n_t, n_theta, span, hollow, data):
+    # inner loop up to row r_in[j], outer loop from row r_out[j] in each column j, apart
+    # along t and along phi; with ``hollow`` the loop nodes off the interior are outside
+    heights = st.lists(st.integers(0, n_t - 3), min_size=n_theta, max_size=n_theta)
+    r_in = np.array(data.draw(heights))
+    low = np.maximum(r_in + 2, np.maximum(np.roll(r_in, 1), np.roll(r_in, -1)) + 1)
+    r_out = np.array([data.draw(st.integers(lo, n_t - 1)) for lo in low])
+    i = np.arange(n_t)[:, None]
+    roles = np.where(i <= r_in, INNER, np.where(i >= r_out, OUTER, INTERIOR)).astype(np.int8)
+    if hollow:
+        inside = roles == INTERIOR
+        near = inside | np.roll(inside, 1, axis=1) | np.roll(inside, -1, axis=1)
+        near[1:] |= inside[:-1]
+        near[:-1] |= inside[1:]
+        roles[~near] = OUTSIDE
+    d = MaskedPolarDomain(t=np.linspace(0.0, span, n_t), n_theta=n_theta, roles=roles)
+    systems = []
+    with mock.patch.object(spla, "cg", lambda A, b, **kw: systems.append((A, b)) or (kw["x0"], 0)):
+        _laplace_solve(d)
+    (A, b), (A_ref, b_ref, _) = systems[0], _reference_system(d)
+    assert np.array_equal(b, b_ref)
+    dense, ref = np.column_stack([A.matvec(e) for e in np.eye(A.shape[1])]), A_ref.toarray()
+    assert np.max(np.abs(dense - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_angular_energy_equality_for_identity_angle():
