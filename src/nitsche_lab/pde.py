@@ -14,6 +14,8 @@ Newton iteration and checked against the 2-D residual.  The complex-form
 defect ``f_{z zbar} + (log p^2)_w f_z f_zbar`` is evaluated independently
 (4th-order stencils) as a cross-check, together with the Hopf differential,
 the pointwise Laplacian lower bound, and the Green's-formula flux/area chain.
+The 2-D residual, the defect and the Laplacian margin of a solved map run on row
+strips, each padded once in phi with its halo rows: no grid-sized temporaries.
 """
 
 from __future__ import annotations
@@ -25,50 +27,60 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, DomainError
-from .grid import AnnulusGrid, AnnulusMap, SolveInfo, d_phi, d_phi2, d_t, d_t2, wrap_pad
+from .grid import AnnulusGrid, AnnulusMap, SolveInfo, d_first, d_second, row_strips, wrap_pad
 from .metrics import CurvatureBound, RotMetric, psi_sharp
 
 NEWTON_TOL = 1e-8  # max residual of the discrete 2-D system at an accepted field
 
 
 def _hopf_log_chart(f: AnnulusMap) -> np.ndarray:
-    """Log-chart Hopf field h^2(|f|) f_zeta conj(f_zetabar), 4th-order in (t, phi)."""
+    """Log-chart Hopf field h^2(|f|) f_zeta conj(f_zetabar) on rows 2..n_r-3, 4th order."""
     g = f.grid
-    F = f.chart_field()
-    f_t, f_p = d_t(F, g.h_t), d_phi(F, g.h_phi)
+    B = wrap_pad(f.chart_field(), 2)
+    f_t, f_p = d_first(B, g.h_t, 0), d_first(B, g.h_phi, 1)
     f_zeta, f_zetabar = 0.5 * (f_t - 1j * f_p), 0.5 * (f_t + 1j * f_p)
-    return f.metric.density(np.abs(F)) ** 2 * f_zeta * np.conj(f_zetabar)
+    return f.metric.density(np.abs(B[2:-2, 2:-2])) ** 2 * f_zeta * np.conj(f_zetabar)
+
+
+def _harmonicity_strips(f: AnnulusMap):
+    """The defect of the map equation on each row strip, from the chart field."""
+    g, m = f.grid, f.metric
+    scale = 0.25 * np.exp(-2 * g.t)
+    for lo, hi in row_strips(2, g.n_r - 2):
+        B = wrap_pad(f.chart_field(slice(lo - 2, hi + 2)), 2)
+        F = B[2:-2, 2:-2]
+        s = np.abs(F)
+        with np.errstate(invalid="ignore", divide="ignore"):  # L = (log h^2)_w = conj(F) h'/(h s)
+            defect = np.conj(F) * np.where(s > 0, m.density_prime(s) / (m.density(s) * s), 0.0)
+        # 4 (f_zetazetabar + L f_zeta f_zetabar) = L (f_t^2 + f_p^2) + lap F, summed in one buffer
+        defect *= np.square(d_first(B, g.h_t, 0)) + np.square(d_first(B, g.h_phi, 1))
+        defect += d_second(B, g.h_t, 0)
+        defect += d_second(B, g.h_phi, 1)
+        defect *= scale[lo:hi, None]
+        yield defect
 
 
 def harmonicity_residual(f: AnnulusMap) -> np.ndarray:
     """Per-node complex defect of the map equation, in the z chart.
 
     Computed from the chart field g(rho) e^{i theta} with 4th-order centered
-    differences in (log r, theta); the two rows nearest each radial boundary
-    are NaN (no centered stencil there).
+    differences in (log r, theta), strip by strip; the two rows nearest each
+    radial boundary are NaN (no centered stencil there).
     """
-    g, m = f.grid, f.metric
-    F = f.chart_field()
-    f_t, f_p, s = d_t(F, g.h_t), d_phi(F, g.h_phi), np.abs(F)
-    with np.errstate(invalid="ignore", divide="ignore"):  # L = (log h^2)_w = conj(F) h'/(h s)
-        L = np.conj(F) * np.where(s > 0, m.density_prime(s) / (m.density(s) * s), 0.0)
-    # 4 (f_zetazetabar + L f_zeta f_zetabar) = lap F + L (f_t^2 + f_p^2), summed in one buffer
-    defect = d_t2(F, g.h_t)
-    defect += d_phi2(F, g.h_phi)
-    defect += L * (f_t * f_t + f_p * f_p)
-    defect *= 0.25 * np.exp(-2 * g.t)[:, None]
-    return defect
+    defect = np.concatenate(list(_harmonicity_strips(f)))
+    return np.pad(defect, ((2, 2), (0, 0)), constant_values=np.nan)
 
 
 def residual_norm(f: AnnulusMap) -> float:
-    """Max |harmonicity residual| over the interior rows."""
-    return float(np.nanmax(np.abs(harmonicity_residual(f))))
+    """Max |harmonicity residual| over the interior rows, read strip by strip."""
+    return float(np.nanmax([np.nanmax(np.abs(d)) for d in _harmonicity_strips(f)]))
 
 
 def hopf_differential(f: AnnulusMap) -> np.ndarray:
     """Discrete Hopf differential field h^2(|f|) f_z conj(f_zbar) (z chart)."""
     T, PHI = f.grid.mesh()
-    return _hopf_log_chart(f) / np.exp(2 * (T + 1j * PHI))
+    P = np.pad(_hopf_log_chart(f), ((2, 2), (0, 0)), constant_values=np.nan)
+    return P / np.exp(2 * (T + 1j * PHI))
 
 
 def hopf_dbar_norm(f: AnnulusMap) -> float:
@@ -78,8 +90,8 @@ def hopf_dbar_norm(f: AnnulusMap) -> float:
     Hopf differential characterises harmonicity.
     """
     g = f.grid
-    P = _hopf_log_chart(f)
-    return float(np.nanmax(np.abs(0.5 * (d_t(P, g.h_t) + 1j * d_phi(P, g.h_phi)))))
+    B = wrap_pad(_hopf_log_chart(f), 2)
+    return float(np.nanmax(np.abs(0.5 * (d_first(B, g.h_t, 0) + 1j * d_first(B, g.h_phi, 1)))))
 
 
 def laplacian_bound_check(f: AnnulusMap, bound: CurvatureBound | None = None) -> np.ndarray:
@@ -89,30 +101,29 @@ def laplacian_bound_check(f: AnnulusMap, bound: CurvatureBound | None = None) ->
     sinh(2 k rho)/(2k), rho, sin(2 k rho)/(2k)); the margin vanishes
     identically for constant-curvature metrics and is nonnegative, up to
     discretisation error, whenever the metric's curvature stays below the
-    bound.  NaN on the edge rows.
+    bound.  Evaluated strip by strip; NaN on the edge rows.
     """
     if bound is None:
         bound = f.metric.bound
     if bound is None:
         raise DomainError("no curvature bound attached to the metric; pass one explicitly")
     g = f.grid
-    lap_rho = d_t2(f.rho, g.h_t) + d_phi2(f.rho, g.h_phi)
-    # differentiate the periodic part of the lift: theta = phi + u
-    u = f.theta - g.phi
-    grad_theta_sq = d_t(u, g.h_t) ** 2 + (1.0 + d_phi(u, g.h_phi)) ** 2
-    return lap_rho - psi_sharp(bound, f.rho) * grad_theta_sq
-
-
-def _neighbours(x: np.ndarray):
-    """The (+t, -t, +phi, -phi) neighbours of the interior rows of x, periodic in phi."""
-    p = wrap_pad(x[1:-1], 1)
-    return x[2:], x[:-2], p[:, 2:], p[:, :-2]
+    out = np.full(f.rho.shape, np.nan)
+    for lo, hi in row_strips(2, g.n_r - 2):
+        rows = slice(lo - 2, hi + 2)
+        # differentiate the periodic part of the lift: theta = phi + u
+        R, U = wrap_pad(f.rho[rows], 2), wrap_pad(f.theta[rows] - g.phi, 2)
+        lap_rho = d_second(R, g.h_t, 0) + d_second(R, g.h_phi, 1)
+        grad_theta_sq = d_first(U, g.h_t, 0) ** 2 + (1.0 + d_first(U, g.h_phi, 1)) ** 2
+        out[lo:hi] = lap_rho - psi_sharp(bound, f.rho[lo:hi]) * grad_theta_sq
+    return out
 
 
 def _lap5(g: AnnulusGrid, x: np.ndarray) -> np.ndarray:
     """5-point Laplacian of x on the interior rows, periodic in phi."""
-    x_tp, x_tm, x_pp, x_pm = _neighbours(x)
-    return (x_tp - 2 * x[1:-1] + x_tm) / g.h_t**2 + (x_pp - 2 * x[1:-1] + x_pm) / g.h_phi**2
+    p = wrap_pad(x[1:-1], 1)
+    return ((x[2:] - 2 * x[1:-1] + x[:-2]) / g.h_t**2
+            + (p[:, 2:] - 2 * x[1:-1] + p[:, :-2]) / g.h_phi**2)
 
 
 @dataclass
@@ -212,22 +223,28 @@ def _radial_discrete_profile(m: RotMetric, rho1: float, rho2: float, t: np.ndarr
     return _damped_newton(residual, newton_step, rho, 1e-12, 80)
 
 
-def _system_residual(g: AnnulusGrid, m: RotMetric, rho: np.ndarray, u: np.ndarray):
-    """Residuals (F1, F2) of the 2nd-order discrete system on interior rows, one array.
+def _system_residual_strips(g: AnnulusGrid, m: RotMetric, rho: np.ndarray, u: np.ndarray):
+    """Residuals [F1, F2] of the 2nd-order discrete system, one array per row strip.
 
     F1 is the 5-point lap(rho) minus (1/2)(G^2)'(rho) |grad theta|^2 from centred
     differences of u = theta - phi; F2 differences the G^2-weighted fluxes through
-    the half nodes, G^2 averaged there from one phi-padded copy.
+    the half nodes, G^2 averaged there.  A strip reads one halo row on each side.
     """
     ht, hp = g.h_t, g.h_phi
-    a = np.asarray(m.G(rho)) ** 2
-    a_p, u_p = wrap_pad(a[1:-1], 1), wrap_pad(u[1:-1], 1)
-    u_t = (u[2:] - u[:-2]) / (2 * ht)
-    theta_p = 1.0 + (u_p[:, 2:] - u_p[:, :-2]) / (2 * hp)
-    q_t = 0.5 * (a[:-1] + a[1:]) * ((u[1:] - u[:-1]) / ht)
-    q_p = 0.5 * (a_p[:, :-1] + a_p[:, 1:]) * (1.0 + (u_p[:, 1:] - u_p[:, :-1]) / hp)
-    return np.stack([_lap5(g, rho) - 0.5 * np.asarray(m.dG2(rho))[1:-1] * (u_t**2 + theta_p**2),
-                     (q_t[1:] - q_t[:-1]) / ht + (q_p[:, 1:] - q_p[:, :-1]) / hp])
+    for lo, hi in row_strips(1, g.n_r - 1):
+        rows = slice(lo - 1, hi + 1)
+        a, u_p = wrap_pad(np.asarray(m.G(rho[rows])) ** 2, 1), wrap_pad(u[rows], 1)
+        u_t = (u_p[2:, 1:-1] - u_p[:-2, 1:-1]) / (2 * ht)
+        theta_p = 1.0 + (u_p[1:-1, 2:] - u_p[1:-1, :-2]) / (2 * hp)
+        q_t = 0.5 * (a[:-1, 1:-1] + a[1:, 1:-1]) * ((u_p[1:, 1:-1] - u_p[:-1, 1:-1]) / ht)
+        q_p = 0.5 * (a[1:-1, :-1] + a[1:-1, 1:]) * (1.0 + (u_p[1:-1, 1:] - u_p[1:-1, :-1]) / hp)
+        F1 = _lap5(g, rho[rows]) - 0.5 * np.asarray(m.dG2(rho[lo:hi])) * (u_t**2 + theta_p**2)
+        yield np.stack([F1, (q_t[1:] - q_t[:-1]) / ht + (q_p[:, 1:] - q_p[:, :-1]) / hp])
+
+
+def _system_residual(g: AnnulusGrid, m: RotMetric, rho: np.ndarray, u: np.ndarray):
+    """Residuals (F1, F2) of the 2nd-order discrete system on interior rows, one array."""
+    return np.concatenate(list(_system_residual_strips(g, m, rho, u)), axis=1)
 
 
 def solve_dirichlet(grid: AnnulusGrid, m: RotMetric, rho1: float, rho2: float) -> AnnulusMap:
@@ -246,10 +263,11 @@ def solve_dirichlet(grid: AnnulusGrid, m: RotMetric, rho1: float, rho2: float) -
     m.check_annulus(rho1, rho2)
     rho_line, history = _radial_discrete_profile(m, rho1, rho2, grid.t)
     rho = np.repeat(rho_line[:, None], grid.n_theta, axis=1)
-    u = np.zeros_like(rho)
+    u = np.broadcast_to(0.0, rho.shape)  # u = theta - phi = 0 with no grid-sized array
     residual = math.inf  # an inadmissible line has no residual
     if np.all(rho_line > 0) and np.all(rho_line < m.rho_max):
-        residual = float(np.max(np.abs(_system_residual(grid, m, rho, u))))
+        strips = _system_residual_strips(grid, m, rho, u)
+        residual = float(np.max([np.max(np.abs(F)) for F in strips]))
     if not residual <= NEWTON_TOL:
         raise DivergenceError(f"the radial line leaves the 2-D system at residual {residual:.3e} "
                               f"> {NEWTON_TOL:.1e} after {len(history) - 1} banded Newton steps")

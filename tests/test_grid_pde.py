@@ -1,6 +1,7 @@
 """Grid maps: residuals, solver, Hopf differential, Laplacian bound, Green chain."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,10 +11,13 @@ from nitsche_lab import (
     AnnulusMap,
     CurvatureBound,
     DomainError,
+    angular_energy,
     catalog_surface,
     constant_curvature_metric,
+    critical_modulus,
     embed_radial_profile,
     green_chain,
+    harmonicity_residual,
     hopf_dbar_norm,
     hopf_differential,
     laplacian_bound_check,
@@ -22,10 +26,11 @@ from nitsche_lab import (
     solve_dirichlet,
     surface_metric,
 )
-from nitsche_lab.grid import d_phi, d_phi2
-from nitsche_lab.metrics import metric_from_profile
+from nitsche_lab.grid import d_first, d_second, wrap_pad
+from nitsche_lab.metrics import metric_from_profile, psi_sharp
+from nitsche_lab.modulus import _cell_density
 from nitsche_lab.pde import (
-    NEWTON_TOL, _lap5, _neighbours, _radial_discrete_profile, _system_residual, green_stations,
+    NEWTON_TOL, _lap5, _radial_discrete_profile, _system_residual, green_stations,
 )
 from nitsche_lab.report import verify_end_to_end
 
@@ -222,17 +227,124 @@ def _roll_d_phi2(F, h):
 
 def test_wrap_padded_stencils_match_np_roll():
     rng = np.random.default_rng(3)
-    h = 2 * np.pi / 48
+    grid = AnnulusGrid(0.5, 1.0, 20, 48)
+    h = grid.h_phi
     fields = [rng.normal(size=(20, 48)),
               rng.normal(size=(20, 48)) + 1j * rng.normal(size=(20, 48)),
               rng.integers(-1000, 1000, size=(20, 48))]
     for F in fields:
-        for new, old in ((d_phi(F, h), _roll_d_phi(F, h)), (d_phi2(F, h), _roll_d_phi2(F, h))):
+        B = wrap_pad(F, 2)  # the d_phi stencils read the centre rows of the block
+        for new, old in ((d_first(B, h, 1), _roll_d_phi(F, h)[2:-2]),
+                         (d_second(B, h, 1), _roll_d_phi2(F, h)[2:-2])):
             assert new.dtype == old.dtype
             assert np.max(np.abs(new - old)) <= 1e-13 * np.max(np.abs(old))
-        rolled = (F[2:], F[:-2], np.roll(F, -1, axis=1)[1:-1], np.roll(F, 1, axis=1)[1:-1])
-        for new, old in zip(_neighbours(F), rolled):
-            assert new.dtype == old.dtype and np.array_equal(new, old)
+        c, east, west = F[1:-1], np.roll(F, -1, axis=1)[1:-1], np.roll(F, 1, axis=1)[1:-1]
+        lap = (F[2:] - 2 * c + F[:-2]) / grid.h_t**2 + (east - 2 * c + west) / grid.h_phi**2
+        assert np.array_equal(_lap5(grid, F), lap)
+
+
+# The whole-grid bodies of the three per-node checks before they ran on row
+# strips, kept as oracles for the strips and their halos.
+def _pad(F, k):
+    return np.concatenate([F[:, -k:], F, F[:, :k]], axis=1)
+
+
+def _d_phi(F, h):
+    P = _pad(F, 2)
+    return (8 * (P[:, 3:-1] - P[:, 1:-3]) - (P[:, 4:] - P[:, :-4])) * (1 / (12 * h))
+
+
+def _d_phi2(F, h):
+    P = _pad(F, 2)
+    return (16 * (P[:, 3:-1] + P[:, 1:-3]) - (P[:, 4:] + P[:, :-4]) - 30 * F) * (1 / (12 * h**2))
+
+
+def _d_t(F, h):
+    out = np.full(F.shape, np.nan, np.result_type(F, float))
+    out[2:-2] = (8 * (F[3:-1] - F[1:-3]) - (F[4:] - F[:-4])) * (1 / (12 * h))
+    return out
+
+
+def _d_t2(F, h):
+    out = np.full(F.shape, np.nan, np.result_type(F, float))
+    out[2:-2] = (16 * (F[3:-1] + F[1:-3]) - (F[4:] + F[:-4]) - 30 * F[2:-2]) * (1 / (12 * h**2))
+    return out
+
+
+def _whole_grid_defect(f):
+    g, m = f.grid, f.metric
+    F = f.chart_field()
+    f_t, f_p, s = _d_t(F, g.h_t), _d_phi(F, g.h_phi), np.abs(F)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        L = np.conj(F) * np.where(s > 0, m.density_prime(s) / (m.density(s) * s), 0.0)
+    defect = _d_t2(F, g.h_t)
+    defect += _d_phi2(F, g.h_phi)
+    defect += L * (f_t * f_t + f_p * f_p)
+    defect *= 0.25 * np.exp(-2 * g.t)[:, None]
+    return defect
+
+
+def _whole_grid_margin(f, bound):
+    g = f.grid
+    lap_rho = _d_t2(f.rho, g.h_t) + _d_phi2(f.rho, g.h_phi)
+    u = f.theta - g.phi
+    grad_theta_sq = _d_t(u, g.h_t) ** 2 + (1.0 + _d_phi(u, g.h_phi)) ** 2
+    return lap_rho - psi_sharp(bound, f.rho) * grad_theta_sq
+
+
+def _whole_grid_system(g, m, rho, u):
+    ht, hp = g.h_t, g.h_phi
+    a = np.asarray(m.G(rho)) ** 2
+    a_p, u_p, rho_p = _pad(a[1:-1], 1), _pad(u[1:-1], 1), _pad(rho[1:-1], 1)
+    lap = ((rho[2:] - 2 * rho[1:-1] + rho[:-2]) / ht**2
+           + (rho_p[:, 2:] - 2 * rho[1:-1] + rho_p[:, :-2]) / hp**2)
+    u_t = (u[2:] - u[:-2]) / (2 * ht)
+    theta_p = 1.0 + (u_p[:, 2:] - u_p[:, :-2]) / (2 * hp)
+    q_t = 0.5 * (a[:-1] + a[1:]) * ((u[1:] - u[:-1]) / ht)
+    q_p = 0.5 * (a_p[:, :-1] + a_p[:, 1:]) * (1.0 + (u_p[:, 1:] - u_p[:, :-1]) / hp)
+    return np.stack([lap - 0.5 * np.asarray(m.dG2(rho))[1:-1] * (u_t**2 + theta_p**2),
+                     (q_t[1:] - q_t[:-1]) / ht + (q_p[:, 1:] - q_p[:, :-1]) / hp])
+
+
+@pytest.mark.parametrize("n_theta", [32, 48])
+@pytest.mark.parametrize("n_r", [16, 67, 69, 128, 129])  # 67 and 69 leave one-row strips
+def test_row_strips_match_the_whole_grid_formulas(n_r, n_theta):
+    rng = np.random.default_rng([n_r, n_theta])
+    grid = AnnulusGrid(1.0, math.exp(0.6), n_r, n_theta)
+    rho = rng.uniform(0.4, 1.0, (n_r, n_theta))
+    u = 0.3 * rng.normal(size=(n_r, n_theta))
+    f = AnnulusMap(grid=grid, rho=rho, theta=grid.phi + u, metric=HYP)
+    pairs = [(harmonicity_residual(f), _whole_grid_defect(f)),
+             (laplacian_bound_check(f), _whole_grid_margin(f, HYP.bound)),
+             (_system_residual(grid, HYP, rho, u), _whole_grid_system(grid, HYP, rho, u))]
+    for new, old in pairs:
+        assert new.shape == old.shape and new.dtype == old.dtype
+        assert np.array_equal(np.isnan(new), np.isnan(old))
+        assert np.nanmax(np.abs(new - old)) <= 1e-12 * np.nanmax(np.abs(old))
+    assert residual_norm(f) == pytest.approx(np.nanmax(np.abs(pairs[0][1])), rel=1e-12)
+    cells = _cell_density(f.theta, grid.h_t, grid.h_phi, 2 * np.pi) * grid.h_t * grid.h_phi
+    assert angular_energy(f) == pytest.approx(cells.sum(), rel=1e-13)
+    diag, drho = f.diagnostics(), np.diff(f.rho, axis=0)
+    assert diag["min_drho_dt"] == drho.min() and not diag["degenerate"]
+    assert diag["min_dtheta_dphi"] == np.diff(f.theta, axis=1).min()
+    assert diag["winding_ok"] == bool(np.all(f.winding_numbers() == 1))
+    # phi-independent rho with u = 0: the angular equation balances exactly in every strip
+    sym = np.repeat(rho[:, :1], n_theta, axis=1)
+    assert not np.any(_system_residual(grid, HYP, sym, np.zeros_like(sym))[1])
+
+
+def test_verify_pass_keeps_no_grid_sized_temporaries():
+    # at 128^2 the whole-grid checks peaked at 2.7 MB of traced allocations
+    T = 0.7 * critical_modulus(HYP, 0.5, 1.0)
+    verify_end_to_end(HYP, 1.0, math.exp(T), 0.5, 1.0)  # lazy set-up outside the measurement
+    tracemalloc.start()
+    try:
+        report = verify_end_to_end(HYP, 1.0, math.exp(T), 0.5, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 1.5e6
 
 
 @pytest.mark.parametrize("winding", [0, 1, 2])
