@@ -127,6 +127,13 @@ def _emit(args, payload: dict, rows=None, header=None) -> None:
         print(json.dumps(payload, indent=2))
 
 
+def _no_solution(args, result: NoSolution) -> int:
+    _emit(args, {"status": "no_solution", "rho1": result.rho1, "rho2": result.rho2,
+                 "mod": result.modulus, "critical_outer": result.critical_outer,
+                 "reason": result.reason})
+    return MATH_FAIL
+
+
 def _cmd_solve_radial(args) -> int:
     m = load_metric(args.metric)
     if args.critical:
@@ -136,16 +143,7 @@ def _cmd_solve_radial(args) -> int:
     else:
         result = solve_bvp(m, args.rho1, args.rho2, args.mod, n_steps=args.steps)
         if isinstance(result, NoSolution):
-            payload = {
-                "status": "no_solution",
-                "rho1": result.rho1,
-                "rho2": result.rho2,
-                "mod": result.modulus,
-                "critical_outer": result.critical_outer,
-                "reason": result.reason,
-            }
-            _emit(args, payload)
-            return MATH_FAIL
+            return _no_solution(args, result)
         prof, status = result, "ok"
     payload = {
         "status": status,
@@ -166,10 +164,13 @@ def _cmd_solve_map(args) -> int:
     m = load_metric(args.metric)
     grid = AnnulusGrid(args.r1, args.r2, args.nr, args.ntheta)
     f = solve_dirichlet(grid, m, args.rho1, args.rho2)
+    if isinstance(f, NoSolution):
+        return _no_solution(args, f)
     payload = {
         "status": "ok",
-        "iterations": f.info.iterations,
-        "residual_history": f.info.residual_history,
+        "slope0": f.profile.slope0,
+        "profile_residual": f.profile.residual,
+        "boundary_error": f.profile.boundary_error,
         "harmonicity_residual": residual_norm(f),
         "eps_grid": grid.eps_grid,
         "diagnostics": f.diagnostics(),

@@ -117,27 +117,20 @@ def _windings(d: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class SolveInfo:
-    """Banded Newton steps on the radial line, and max|F| per iterate (the last: 2-D)."""
-
-    iterations: int
-    residual_history: list[float]
-
-
-@dataclass
 class AnnulusMap:
     """Discrete map into geodesic polar coordinates of a target metric.
 
     ``theta`` is stored as a continuous lift ``phi + u`` with ``u`` periodic,
     so the winding number along every grid circle is one by construction;
     :meth:`winding_numbers` recomputes it honestly from wrapped increments.
+    A solved map carries the radial ``profile`` its rows were read from.
     """
 
     grid: AnnulusGrid
     rho: np.ndarray
     theta: np.ndarray
     metric: RotMetric
-    info: SolveInfo | None = None
+    profile: RadialProfile | None = None
 
     def __post_init__(self):
         shape = (self.grid.n_r, self.grid.n_theta)

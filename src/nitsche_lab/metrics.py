@@ -187,7 +187,7 @@ class RotMetric:
     curvature : callable
         Exact Gaussian curvature K(s) = -lap(log h)/h^2 at chart radius s.
     g_analytic, g_prime_analytic : callable, optional
-        Closed forms for G(rho) and G'(rho) (model metrics).
+        Closed forms for G(rho) and G'(rho) (model metrics), given together.
     bound : CurvatureBound, optional
         The curvature upper bound this metric is analysed under.
     knots : array, optional
@@ -227,7 +227,7 @@ class RotMetric:
 
     def check_rho(self, rho) -> None:
         rho = np.asarray(rho)
-        if not np.all((rho >= 0) & (rho < self.rho_max)):  # NaN fails too
+        if rho.size and not (rho.min() >= 0 and rho.max() < self.rho_max):  # NaN fails too
             raise DomainError(
                 f"geodesic radius outside the distance range [0, {self.rho_max:.6g}) "
                 f"of {self.label}"
@@ -255,20 +255,25 @@ class RotMetric:
 
     def G_prime(self, rho):
         """dG/d rho, from its closed form when given, else g'(h + h' g) with g' = 1/h."""
+        return self._g_and_prime(rho)[1]
+
+    def _g_and_prime(self, rho):
+        """(G, G') at rho behind one range check, with one inverse distance between them."""
         self.check_rho(rho)
-        if self._g_prime_analytic is not None:
-            return self._g_prime_analytic(rho)
+        if self._g_analytic is not None:
+            return self._g_analytic(rho), self._g_prime_analytic(rho)
         s = self.inverse_distance(rho)
         h = self.density(s)
-        return (h + self.density_prime(s) * s) / h
+        return h * s, (h + self.density_prime(s) * s) / h
 
     def dG2(self, rho):
         """d(G^2)/d rho = 2 g (h + h' g); the radial harmonic-map source term is half this."""
-        return 2.0 * self.G(rho) * self.G_prime(rho)
+        g, gp = self._g_and_prime(rho)
+        return 2.0 * g * gp
 
     def d2G2(self, rho):
         """(G^2)'' = 2 G'^2 - 2 K G^2 (Jacobi's G'' = -K G), for the Newton linearisation."""
-        g, gp = self.G(rho), self.G_prime(rho)
+        g, gp = self._g_and_prime(rho)
         return 2.0 * (gp * gp - self.curvature(self.inverse_distance(rho)) * g * g)
 
 

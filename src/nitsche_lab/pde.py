@@ -8,12 +8,14 @@ equation splits into the coupled real system::
     rho_tt + rho_pp = (1/2) d(G^2)/d rho * (theta_t^2 + theta_p^2)
     d/dt (G^2 theta_t) + d/dp (G^2 theta_p) = 0
 
-With symmetric boundary data the 2nd-order 5-point system is the radial
-line row by row, so the grid solve is that line, solved by a banded damped
-Newton iteration and checked against the 2-D residual.  The complex-form
-defect ``f_{z zbar} + (log p^2)_w f_z f_zbar`` is evaluated independently
-(4th-order stencils) as a cross-check, together with the Hopf differential,
-the pointwise Laplacian lower bound, and the Green's-formula flux/area chain.
+With symmetric boundary data the solution is radial, ``rho(t)`` with
+``theta = phi``, and the grid's rows are equal steps in ``t``: so the grid map
+is the first-integral profile of :func:`radial.solve_bvp`, read at the rows,
+and the package has one radial solver.  The complex-form defect
+``f_{z zbar} + (log p^2)_w f_z f_zbar`` is evaluated independently (4th-order
+stencils) as a cross-check, together with the Hopf differential, the pointwise
+Laplacian lower bound, and the Green's-formula flux/area chain; the residual of
+the 2nd-order discrete system measures the profile's truncation error on the grid.
 The 2-D residual, the defect and the Laplacian margin of a solved map run on row
 strips, each padded once in phi with its halo rows: no grid-sized temporaries.
 """
@@ -26,11 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError
-from .grid import AnnulusGrid, AnnulusMap, SolveInfo, d_first, d_second, row_strips, wrap_pad
+from .errors import DomainError
+from .grid import AnnulusGrid, AnnulusMap, d_first, d_second, row_strips, wrap_pad
 from .metrics import CurvatureBound, RotMetric, psi_sharp
-
-NEWTON_TOL = 1e-8  # max residual of the discrete 2-D system at an accepted field
+from .radial import NoSolution, solve_bvp
 
 
 def _hopf_log_chart(f: AnnulusMap) -> np.ndarray:
@@ -169,60 +170,6 @@ def green_chain(f: AnnulusMap, sigma: float) -> GreenChain:
     return GreenChain(flux=float(flux), area=float(area), inner_flux=inner, sigma=float(snapped))
 
 
-def _damped_newton(residual, newton_step, x: np.ndarray, tol: float, max_iter: int):
-    """Damped Newton on the state array x (``residual(x)``: None if inadmissible).
-
-    ``newton_step(x, F)`` is the full step, shaped like x.  It is halved (at
-    most 30 times) until an admissible trial lowers max|F|; a trial that
-    rounds back to x ends the search, since every shorter one does too.
-    Returns (x, history of max|F|), stopping once max|F| <= tol, at a max|F|
-    that is not finite (an inadmissible start counts as inf), at the first
-    failed search, or after ``max_iter`` steps.
-    """
-    F = residual(x)
-    history = [math.inf if F is None else float(np.max(np.abs(F)))]
-    while tol < history[-1] < math.inf and len(history) <= max_iter:
-        dx = newton_step(x, F)
-        for k in range(30):
-            trial = x + 0.5**k * dx
-            if np.array_equal(trial, x):
-                return x, history
-            F_trial = residual(trial)
-            if F_trial is not None and np.max(np.abs(F_trial)) < history[-1]:
-                break
-        else:
-            return x, history
-        x, F = trial, F_trial
-        history.append(float(np.max(np.abs(F))))
-    return x, history
-
-
-def _radial_discrete_profile(m: RotMetric, rho1: float, rho2: float, t: np.ndarray):
-    """Solve the 1-D discrete two-point problem D_tt rho = rhs(rho) by Newton.
-
-    Returns the line and the max|F| history of its banded damped-Newton loop,
-    which aims at 1e-12 and ends where round-off stops the steps (about 1e-11
-    at 128 nodes).
-    """
-    from scipy.linalg import solve_banded
-
-    h = t[1] - t[0]
-
-    def residual(rho):  # None outside the metric range
-        if np.all(rho < m.rho_max) and np.all(rho > 0):
-            return (rho[2:] - 2 * rho[1:-1] + rho[:-2]) / h**2 - 0.5 * np.asarray(m.dG2(rho[1:-1]))
-
-    def newton_step(rho, F):  # tridiagonal; unchecked, so a non-finite step fails the search
-        ab = np.full((3, len(t) - 2), 1 / h**2)
-        ab[1] = -2 / h**2 - 0.5 * np.asarray(m.d2G2(rho[1:-1]))
-        step = np.zeros_like(rho)
-        step[1:-1] = solve_banded((1, 1), ab, -F, check_finite=False)
-        return step
-
-    rho = rho1 + (rho2 - rho1) * (t - t[0]) / (t[-1] - t[0])
-    return _damped_newton(residual, newton_step, rho, 1e-12, 80)
-
-
 def _system_residual_strips(g: AnnulusGrid, m: RotMetric, rho: np.ndarray, u: np.ndarray):
     """Residuals [F1, F2] of the 2nd-order discrete system, one array per row strip.
 
@@ -233,12 +180,13 @@ def _system_residual_strips(g: AnnulusGrid, m: RotMetric, rho: np.ndarray, u: np
     ht, hp = g.h_t, g.h_phi
     for lo, hi in row_strips(1, g.n_r - 1):
         rows = slice(lo - 1, hi + 1)
-        a, u_p = wrap_pad(np.asarray(m.G(rho[rows])) ** 2, 1), wrap_pad(u[rows], 1)
+        G, Gp = m._g_and_prime(rho[rows])
+        a, u_p = wrap_pad(G**2, 1), wrap_pad(u[rows], 1)
         u_t = (u_p[2:, 1:-1] - u_p[:-2, 1:-1]) / (2 * ht)
         theta_p = 1.0 + (u_p[1:-1, 2:] - u_p[1:-1, :-2]) / (2 * hp)
         q_t = 0.5 * (a[:-1, 1:-1] + a[1:, 1:-1]) * ((u_p[1:, 1:-1] - u_p[:-1, 1:-1]) / ht)
         q_p = 0.5 * (a[1:-1, :-1] + a[1:-1, 1:]) * (1.0 + (u_p[1:-1, 1:] - u_p[1:-1, :-1]) / hp)
-        F1 = _lap5(g, rho[rows]) - 0.5 * np.asarray(m.dG2(rho[lo:hi])) * (u_t**2 + theta_p**2)
+        F1 = _lap5(g, rho[rows]) - 0.5 * (2.0 * G[1:-1] * Gp[1:-1]) * (u_t**2 + theta_p**2)
         yield np.stack([F1, (q_t[1:] - q_t[:-1]) / ht + (q_p[:, 1:] - q_p[:, :-1]) / hp])
 
 
@@ -247,29 +195,21 @@ def _system_residual(g: AnnulusGrid, m: RotMetric, rho: np.ndarray, u: np.ndarra
     return np.concatenate(list(_system_residual_strips(g, m, rho, u)), axis=1)
 
 
-def solve_dirichlet(grid: AnnulusGrid, m: RotMetric, rho1: float, rho2: float) -> AnnulusMap:
-    """The discrete map with symmetric data: the radial line, checked on the grid.
+def solve_dirichlet(grid: AnnulusGrid, m: RotMetric, rho1: float, rho2: float):
+    """The map with symmetric data: :func:`solve_bvp`'s radial profile at the grid's rows.
 
     Boundary data: rho = rho1 on |z| = r1, rho = rho2 on |z| = r2, and
     theta = arg z on both circles, admitted by :meth:`RotMetric.check_annulus`.
-    At a phi-independent rho with theta = phi the 2-D system is the 1-D
-    radial one row by row (F2 vanishes, F1 is the line's residual), so the
-    line of :func:`_radial_discrete_profile` is broadcast to the grid and
-    accepted when the max residual of the 2-D system is at most
-    ``NEWTON_TOL``; otherwise :class:`DivergenceError`.  The returned map
-    carries a :class:`SolveInfo` of the banded Newton loop whose last history
-    entry is that 2-D residual.
+    The solution is rho(log|z|) with theta = arg z, and ``solve_bvp(m, rho1,
+    rho2, Mod, n_r - 1)`` samples its first-integral profile on nodes that are
+    exactly the grid's rows, so each row carries the profile's value with no
+    interpolation.  The map carries that :class:`RadialProfile` (its ``slope0``,
+    ``residual`` and ``boundary_error``).  Returns :class:`NoSolution` exactly
+    where ``solve_bvp`` does: no monotone radial map has this modulus.
     """
-    m.check_annulus(rho1, rho2)
-    rho_line, history = _radial_discrete_profile(m, rho1, rho2, grid.t)
-    rho = np.repeat(rho_line[:, None], grid.n_theta, axis=1)
-    u = np.broadcast_to(0.0, rho.shape)  # u = theta - phi = 0 with no grid-sized array
-    residual = math.inf  # an inadmissible line has no residual
-    if np.all(rho_line > 0) and np.all(rho_line < m.rho_max):
-        strips = _system_residual_strips(grid, m, rho, u)
-        residual = float(np.max([np.max(np.abs(F)) for F in strips]))
-    if not residual <= NEWTON_TOL:
-        raise DivergenceError(f"the radial line leaves the 2-D system at residual {residual:.3e} "
-                              f"> {NEWTON_TOL:.1e} after {len(history) - 1} banded Newton steps")
-    info = SolveInfo(len(history) - 1, history[:-1] + [residual])
-    return AnnulusMap(grid=grid, rho=rho, theta=grid.phi + u, metric=m, info=info)
+    prof = solve_bvp(m, rho1, rho2, grid.modulus, n_steps=grid.n_r - 1)
+    if isinstance(prof, NoSolution):
+        return prof
+    rho = np.repeat(prof.rho[:, None], grid.n_theta, axis=1)
+    theta = np.repeat(grid.phi[None, :], grid.n_r, axis=0)
+    return AnnulusMap(grid=grid, rho=rho, theta=theta, metric=m, profile=prof)

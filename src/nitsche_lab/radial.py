@@ -41,7 +41,9 @@ _GL_X, _GL_W = _LEG.leggauss(32)
 _GL_U = 0.5 * (_GL_X + 1.0)  # the nodes on [0, 1]
 # Gauss values on a panel -> its Legendre coefficients (exact below degree 32)
 _GL_TO_LEG = _LEG.legvander(_GL_X, 31) * (_GL_W[:, None] * (np.arange(32) + 0.5))
+_LEG_INT = _LEG.legint(np.eye(32), lbnd=-1)  # series of dt/dx -> series of t, t(-1) = 0
 _TABLE_S = np.linspace(0.0, 1.0, 257)  # Newton start table on a panel
+_TABLE_T = _LEG.legvander(2.0 * _TABLE_S - 1.0, 32)  # a panel's series -> its table, one product
 _GL4_S, _GL4_W = np.polynomial.legendre.leggauss(4)
 _GL4_S, _GL4_W = 0.5 * (_GL4_S + 1.0), 0.5 * _GL4_W  # on [0, 1]
 
@@ -289,26 +291,41 @@ def _quadrature(m: RotMetric, rho1: float, rho2: float, v0: float, tol=QUAD_TOL,
 
 
 def _sample(quad, targets: np.ndarray):
-    """sigma and the miss |t(sigma) - t| at each time t of ``targets``: Newton from a 257-point
-    table, on the exact integral t(x) of the series of dt/dx on the panel whose times hold t."""
+    """sigma and the miss |t(sigma) - t| at each time t of ``targets``, by Newton on the exact
+    integral t(x) of the series of dt/dx on the panel whose times hold t.  It starts from a
+    cubic Hermite fit of position against sqrt(t) (t ~ sigma^2 at sigma = 0) through a
+    257-point table of each panel, whose slope takes the first step: one sweep settles."""
     _, edges, dt_dsigma, _ = quad
     w = np.diff(edges)
     dt_dx = (dt_dsigma.reshape(len(w), -1) @ _GL_TO_LEG).T * (0.5 * w)  # x in [-1, 1]
-    t_x = _LEG.legint(dt_dx, lbnd=-1)
+    t_x = _LEG_INT @ dt_dx
     start = np.concatenate([[0.0], np.cumsum(2.0 * dt_dx[0])])
     k = np.minimum(np.searchsorted(start, targets, side="right") - 1, len(w) - 1)
     held, row = np.unique(np.append(k, 0), return_inverse=True)  # never an empty table
-    table = start[held, None] + _LEG.legval(2.0 * _TABLE_S - 1.0, t_x[:, held])
-    at = np.interp(np.sqrt(targets), np.sqrt(np.abs(table.ravel())),  # t ~ sigma^2 at sigma = 0
-                   (np.arange(held.size)[:, None] + _TABLE_S).ravel())
-    x = 2.0 * np.clip(at - row[:-1], 0.0, 1.0) - 1.0
+    table = start[held, None] + (_TABLE_T @ t_x[:, held]).T
+    # knots r = sqrt(t) and positions p = held row + s, with dp/dr = r / (dt/dx); the first
+    # knot, t = 0 on panel 0, where dt/dx vanishes too, takes its chord's slope
+    r = np.maximum.accumulate(np.sqrt(np.abs(table.ravel())))
+    p = (np.arange(held.size)[:, None] + _TABLE_S).ravel()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dp_dr = r / (_TABLE_T[:, :32] @ dt_dx[:, held]).T.ravel()
+    dp_dr[0] = (p[1] - p[0]) / (r[1] - r[0])
+    rt = np.sqrt(targets)
+    j = np.clip(np.searchsorted(r, rt, side="right") - 1, 0, r.size - 2)
+    h, d0, d1 = r[j + 1] - r[j], dp_dr[j], dp_dr[j + 1]
+    u, chord = (rt - r[j]) / h, (p[j + 1] - p[j]) / h
+    c2, c3 = 3.0 * chord - 2.0 * d0 - d1, d0 + d1 - 2.0 * chord  # p = p_j + h u (d0 + ...)
+    x = 2.0 * np.clip(p[j] + h * u * (d0 + u * (c2 + u * c3)) - row[:-1], 0.0, 1.0) - 1.0
+    slope = rt / (d0 + u * (2.0 * c2 + 3.0 * u * c3))  # dt/dx = r / (dp/dr)
     reach = np.max(targets, initial=0.0)  # the Newton tolerance is relative to it
-    t_k, t_xk, dt_dxk = start[k], t_x[:, k], dt_dx[:, k]  # each target keeps its panel
+    t_k, t_xk = start[k], t_x[:, k]  # each target keeps its panel
     for sweep in range(8):
         t = t_k + _LEG.legval(x, t_xk, tensor=False)
         if sweep == 7 or np.max(np.abs(t - targets), initial=0.0) <= 4 * _EPS * reach:
             break
-        x = x - (t - targets) / _LEG.legval(x, dt_dxk, tensor=False)
+        if sweep:
+            slope = _LEG.legval(x, dt_dx[:, k], tensor=False)
+        x = x - (t - targets) / slope
     return edges[k] + 0.5 * w[k] * (x + 1.0), np.abs(t - targets)
 
 
@@ -352,28 +369,56 @@ def solve_bvp(m: RotMetric, rho1: float, rho2: float, T: float,
     """Monotone radial solution with rho(0) = rho1, rho(T) = rho2, or NoSolution.
 
     The inner slope v0 = G(rho1) sinh s solves T(v0) = T (:func:`modulus_of_slope`)
-    on the proven bracket v0 in [0, (rho2 - rho1)/T], where T(v0) - T is strictly
-    decreasing; s is linear in v0 below G(rho1) and logarithmic above, so the
-    root's stopping rule has no absolute scale.  :class:`NoSolution` comes
-    exactly when T(0) < T; within a relative 1e-12 of T(0) the slope is 0.  The
-    profile inverts the quadrature (:func:`_sample`) at t_k T(v0)/T on
-    ``n_steps + 1`` equal nodes t_k, with the exact slope; ``boundary_error`` is its miss at rho2.
+    on the bracket v0 in [v_min, hypot((rho2 - rho1)/T, v_min)], where T(v0) - T is
+    strictly decreasing and T(v0) <= (rho2 - rho1)/sqrt(v0^2 - v_min^2); s is linear
+    in v0 below G(rho1) and logarithmic above, so the root's stopping rule has no
+    absolute scale.  v_min is 0 unless G dips below G(rho1) inside the annulus; then
+    v_min^2 is the largest G(rho1)^2 - G^2 on 257 equal radii, below which the
+    trajectory turns back (T = +inf), and the root bisects up from it until T(v0) - T
+    is finite and positive.  :class:`NoSolution` comes exactly when T(0) < T, or when
+    that bisection closes on v_min; within a relative 1e-12 of T(0) the slope is 0.
+    The profile inverts the quadrature (:func:`_sample`) at t_k T(v0)/T on
+    ``n_steps + 1`` equal nodes t_k, with the exact slope; ``boundary_error`` is its
+    miss at rho2.
     """
     if not (0 < T < math.inf and n_steps >= 1):
         raise DomainError("need a positive finite modulus T and n_steps >= 1")
     g1 = (admitted := _admit(m, rho1, rho2))[0]  # once; each slope's quadrature is kept
     quad = cache(lambda s: _quadrature(m, rho1, rho2, g1 * math.sinh(s), admitted=admitted))
-    t_crit = quad(0.0)[0]
+
+    def modulus(s):  # T(v0), +inf where the trajectory turns back before rho2
+        try:
+            return quad(s)[0]
+        except DomainError:
+            return math.inf
+
+    t_crit = modulus(0.0)
+    reason = f"critical modulus T(0) = {t_crit:.10g} < Mod = {T:.10g}"
+    s = 0.0
+    if t_crit > T * (1.0 + CRITICAL_RTOL):
+        lo, f_lo, v_min = 0.0, t_crit - T, 0.0
+        if f_lo == math.inf:
+            g = np.asarray(m.G(np.linspace(rho1, rho2, 257)))
+            v_min = math.sqrt(float(np.max((g1 - g) * (g1 + g))))
+            lo = math.asinh(v_min / g1)
+        hi = math.asinh(math.hypot((rho2 - rho1) / T, v_min) / g1)
+        while f_lo == math.inf and lo < (mid := 0.5 * (lo + hi)) < hi:
+            if (f_mid := modulus(mid) - T) > 0:
+                lo, f_lo = mid, f_mid
+            else:
+                hi = mid
+        if f_lo == math.inf:
+            t_crit, reason = -math.inf, (f"every slope above v_min = {v_min:.10g}, below which "
+                                         f"the trajectory turns back, reaches rho2 before "
+                                         f"Mod = {T:.10g}")
+        else:
+            s = lo + _falling_root(lambda x: modulus(lo + x) - T, f_lo, hi - lo)
     if t_crit < T * (1.0 - CRITICAL_RTOL):
         try:
             outer = critical_outer(m, rho1, T)
         except DomainError:
             outer = math.inf
-        return NoSolution(rho1=rho1, rho2=rho2, modulus=T, critical_outer=outer,
-                          reason=f"critical modulus T(0) = {t_crit:.10g} < Mod = {T:.10g}")
-    s = 0.0
-    if t_crit > T * (1.0 + CRITICAL_RTOL):
-        s = _falling_root(lambda s: quad(s)[0] - T, t_crit - T, math.asinh((rho2 - rho1) / T / g1))
+        return NoSolution(rho1=rho1, rho2=rho2, modulus=T, critical_outer=outer, reason=reason)
     sigma, miss = _sample(quad(s), np.arange(1, n_steps) * (quad(s)[0] / n_steps))
     rho, slopes = quad(s)[3](np.concatenate([[0.0], sigma, [1.0]]))
     return RadialProfile(t_grid=np.linspace(0.0, T, n_steps + 1), rho=rho, slope=slopes,

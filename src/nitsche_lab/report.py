@@ -43,7 +43,7 @@ from .metrics import (
 )
 from .modulus import angular_energy
 from .pde import green_stations, laplacian_bound_check, residual_norm, solve_dirichlet
-from .radial import critical_modulus
+from .radial import NoSolution, critical_modulus
 
 REPORT_TOL = 1e-6
 NEAR_CRITICAL_FRACTION = 0.3  # share of random_solved_cases drawn at the critical modulus
@@ -157,7 +157,10 @@ def verify_end_to_end(metric: RotMetric, r1: float, r2: float,
     Orientation: if rho1 > rho2 the data asks the inner circle to hit the
     outer geodesic circle; the annulus inversion z -> r1 r2 / z reduces that
     to the normalised case, which for symmetric boundary data is just the
-    swapped pair.  The report fails if any sub-check's ``ok`` is false.
+    swapped pair.  The report fails if any sub-check's ``ok`` is false.  Past
+    the critical modulus no monotone radial map exists: the report is the
+    arithmetic one, failed, with one ``radial_solution`` sub-check that gives
+    the reason and ``critical_outer``.
     """
     swapped = False
     if rho1 > rho2:
@@ -168,26 +171,60 @@ def verify_end_to_end(metric: RotMetric, r1: float, r2: float,
     grid = AnnulusGrid(r1, r2, n_r, n_theta)
     report = check_bound(bound, rho1, rho2, grid.modulus, tol=tol)
     f = solve_dirichlet(grid, metric, rho1, rho2)
-    eps = grid.eps_grid
+    if isinstance(f, NoSolution):
+        report.subchecks = {"radial_solution": {"reason": f.reason,
+                                                "critical_outer": f.critical_outer, "ok": False}}
+    else:
+        report.subchecks = _solved_subchecks(f, bound, report.psi_sharp_min)
+    report.passed = report.passed and all(block["ok"] for block in report.subchecks.values())
+    report.provenance.update(
+        {
+            "mode": "solved",
+            "grid": {"n_r": n_r, "n_theta": n_theta, "r1": r1, "r2": r2},
+            "eps_grid": grid.eps_grid,
+            "metric": metric.label,
+            "bound": (bound.sign, bound.kappa),
+            "orientation_swapped_via_inversion": swapped,
+            "config": config_hash(
+                {
+                    "metric": metric.label,
+                    "r1": r1,
+                    "r2": r2,
+                    "rho1": rho1,
+                    "rho2": rho2,
+                    "n_r": n_r,
+                    "n_theta": n_theta,
+                }
+            ),
+        }
+    )
+    if not isinstance(f, NoSolution):
+        report.provenance.update(slope0=f.profile.slope0, profile_residual=f.profile.residual,
+                                 boundary_error=f.profile.boundary_error)
+    return report
 
+
+def _solved_subchecks(f, bound: CurvatureBound, psi_sharp_min: float) -> dict:
+    """The sub-checks of a solved grid map, each judged against the grid's eps_grid."""
+    grid = f.grid
+    eps = grid.eps_grid
     res = residual_norm(f)
-    margins = laplacian_bound_check(f, bound)
-    lap_min = float(np.nanmin(margins))
+    lap_min = float(np.nanmin(laplacian_bound_check(f, bound)))
     energy = angular_energy(f)
     energy_floor = 2 * math.pi * grid.modulus
 
     # eight half-node circles, the ones green_chain snaps these radii to
-    radii = np.exp(np.linspace(math.log(r1), math.log(r2), 10)[1:-1])
+    radii = np.exp(np.linspace(math.log(grid.r1), math.log(grid.r2), 10)[1:-1])
     sigmas, fluxes, areas, inner_flux = green_stations(f, radii)
     gaps = fluxes - inner_flux - areas
-    chain_margins = fluxes - 2 * math.pi * report.psi_sharp_min * np.log(sigmas / r1)
+    chain_margins = fluxes - 2 * math.pi * psi_sharp_min * np.log(sigmas / grid.r1)
     identity_ok = bool(np.all(np.abs(gaps) <= 1e-6 * np.maximum(1.0, np.abs(areas))))
     chain_ok = bool(np.all(chain_margins >= -2 * math.pi * eps))
 
     inner_slope = float(np.min((f.rho[1] - f.rho[0]) / grid.h_t))
     diag = f.diagnostics()
 
-    subchecks = {
+    return {
         "residual": {"value": res, "tol": eps, "ok": res <= eps},
         "laplacian_margin_min": {"value": lap_min, "tol": eps, "ok": lap_min >= -eps},
         "angular_energy": {
@@ -206,32 +243,6 @@ def verify_end_to_end(metric: RotMetric, r1: float, r2: float,
         "inner_normal_derivative": {"value": inner_slope, "ok": inner_slope >= -eps},
         "homeomorphism": {**diag, "ok": diag["winding_ok"] and not diag["degenerate"]},
     }
-    report.subchecks = subchecks
-    report.passed = report.passed and all(block["ok"] for block in subchecks.values())
-    report.provenance.update(
-        {
-            "mode": "solved",
-            "grid": {"n_r": n_r, "n_theta": n_theta, "r1": r1, "r2": r2},
-            "eps_grid": eps,
-            "metric": metric.label,
-            "bound": (bound.sign, bound.kappa),
-            "orientation_swapped_via_inversion": swapped,
-            "newton_iterations": f.info.iterations,
-            "final_system_residual": f.info.residual_history[-1],
-            "config": config_hash(
-                {
-                    "metric": metric.label,
-                    "r1": r1,
-                    "r2": r2,
-                    "rho1": rho1,
-                    "rho2": rho2,
-                    "n_r": n_r,
-                    "n_theta": n_theta,
-                }
-            ),
-        }
-    )
-    return report
 
 
 def random_solved_cases(n_per_sign: int = 50, seed: int = 7,

@@ -300,7 +300,12 @@ def test_domain_gate_on_radial_entry_points():
     with pytest.raises(nl.DomainError, match="G'"):
         nl.critical_modulus(unbounded, 1.7, 2.0)  # G decreasing from rho1
     with pytest.raises(nl.DomainError, match=r"G\(.*\) <= G\(rho1\)"):
-        nl.solve_bvp(unbounded, 0.5, 2.8, 0.5)  # sin(2.8) < sin(0.5)
+        nl.critical_modulus(unbounded, 0.5, 2.8)  # sin(2.8) < sin(0.5): T(0) turns back
+    # slopes above v_min = sqrt(sin(0.5)^2 - sin(2.8)^2) reach 2.8, and solve_bvp takes one
+    sol = nl.solve_bvp(unbounded, 0.5, 2.8, 0.5)
+    v_min = math.sqrt(math.sin(0.5) ** 2 - math.sin(2.8) ** 2)
+    assert sol.is_monotone and sol.slope0 > v_min
+    assert nl.modulus_of_slope(unbounded, 0.5, 2.8, sol.slope0) == pytest.approx(0.5, rel=1e-12)
     for bad in (math.inf, math.nan, -1.0):
         with pytest.raises(nl.DomainError):
             nl.solve_bvp(FLAT, 0.5, 1.0, bad)

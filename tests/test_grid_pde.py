@@ -1,5 +1,6 @@
 """Grid maps: residuals, solver, Hopf differential, Laplacian bound, Green chain."""
 
+import json
 import math
 import tracemalloc
 
@@ -11,8 +12,10 @@ from nitsche_lab import (
     AnnulusMap,
     CurvatureBound,
     DomainError,
+    NoSolution,
     angular_energy,
     catalog_surface,
+    check_bound,
     constant_curvature_metric,
     critical_modulus,
     embed_radial_profile,
@@ -21,17 +24,18 @@ from nitsche_lab import (
     hopf_dbar_norm,
     hopf_differential,
     laplacian_bound_check,
+    modulus_of_slope,
     residual_norm,
     shoot,
+    solve_bvp,
     solve_dirichlet,
     surface_metric,
 )
+from nitsche_lab.cli import main
 from nitsche_lab.grid import d_first, d_second, wrap_pad
 from nitsche_lab.metrics import metric_from_profile, psi_sharp
 from nitsche_lab.modulus import _cell_density
-from nitsche_lab.pde import (
-    NEWTON_TOL, _lap5, _radial_discrete_profile, _system_residual, green_stations,
-)
+from nitsche_lab.pde import _lap5, _system_residual, green_stations
 from nitsche_lab.report import verify_end_to_end
 
 FLAT = constant_curvature_metric(CurvatureBound.zero())
@@ -116,103 +120,129 @@ def test_solve_recovers_radial_map_flat():
     grid = AnnulusGrid(0.5, 1.0, 128, 64)
     f = solve_dirichlet(grid, FLAT, 0.8, 1.0)
     exact = 0.8 * np.cosh(grid.t - math.log(0.5))
-    assert np.max(np.abs(f.rho - exact[:, None])) <= 1e-6
+    assert np.max(np.abs(f.rho - exact[:, None])) <= 1e-14
 
 
-def _halving_profile(m, rho1, rho2, t):
-    """The 1-D warm start as a plain loop: 30 halvings per search, stop at a failed one."""
+def _discrete_line(m, rho1, rho2, t):
+    """The 2nd-order discrete line D_tt rho = (1/2)(G^2)'(rho) with rho's end values, by
+    dense Newton from the straight line: the radial solution of the 5-point system."""
     h, n = t[1] - t[0], len(t)
     rho = rho1 + (rho2 - rho1) * (t - t[0]) / (t[-1] - t[0])
-
-    def residual(r):
-        return (r[2:] - 2 * r[1:-1] + r[:-2]) / h**2 - 0.5 * np.asarray(m.dG2(r[1:-1]))
-
-    for _ in range(80):
-        F = residual(rho)
-        if np.max(np.abs(F)) <= 1e-12:
-            break
-        A = np.diag(np.full(n - 3, 1 / h**2), 1) + np.diag(np.full(n - 3, 1 / h**2), -1)
-        A += np.diag(-2 / h**2 - 0.5 * np.asarray(m.d2G2(rho[1:-1])))
-        step = np.linalg.solve(A, -F)
-        for k in range(30):
-            trial = rho.copy()
-            trial[1:-1] += 0.5**k * step
-            if np.all(trial > 0) and np.all(trial < m.rho_max) and \
-                    np.max(np.abs(residual(trial))) < np.max(np.abs(F)):
-                rho = trial
-                break
-        else:
-            break
-    return rho
+    off = np.full(n - 3, 1 / h**2)
+    for _ in range(50):
+        F = (rho[2:] - 2 * rho[1:-1] + rho[:-2]) / h**2 - 0.5 * np.asarray(m.dG2(rho[1:-1]))
+        J = np.diag(off, 1) + np.diag(off, -1) + np.diag(-2 / h**2 - 0.5 * m.d2G2(rho[1:-1]))
+        step = np.linalg.solve(J, -F)
+        rho[1:-1] += step
+        if np.max(np.abs(step)) <= 1e-14:
+            return rho
+    raise AssertionError("the discrete line did not converge")
 
 
-def test_inadmissible_newton_start_is_a_failed_solve(monkeypatch):
-    # an all-NaN warm start has no residual: a DivergenceError, not a TypeError
-    from nitsche_lab import DivergenceError, pde
-
-    monkeypatch.setattr(pde, "_radial_discrete_profile",
-                        lambda m, r1, r2, t: (np.full_like(t, np.nan), [math.inf]))
-    with pytest.raises(DivergenceError, match="inf"):
-        solve_dirichlet(AnnulusGrid(0.5, 1.0, 16, 32), FLAT, 0.8, 1.0)
-
-
-def _spy_banded_newton(monkeypatch):
-    """Record (residual, steps taken) of every damped-Newton run, steps counted from its iterates."""
-    from nitsche_lab import pde
-
-    runs = []
-    damped_newton = pde._damped_newton
-
-    def spy(residual, newton_step, x, tol, max_iter):
-        iterates = [x]
-
-        def step(y, F):
-            iterates.append(y)
-            return newton_step(y, F)
-
-        out = damped_newton(residual, step, x, tol, max_iter)
-        runs.append((residual, len({y.tobytes() for y in (*iterates, out[0])}) - 1))
-        return out
-
-    monkeypatch.setattr(pde, "_damped_newton", spy)
-    return runs
+SYMMETRIC_CASES = [(FLAT, 0.8, 1.0, math.log(2)), (HYP, 0.5, 1.0, 0.6), (SPH, 0.5, 1.2, 0.5),
+                   (ENNEPER, 0.4, 0.9, 0.5), (PROFILE, 0.5, 1.0, 0.4)]
 
 
 @pytest.mark.parametrize("n", [32, 128])
-@pytest.mark.parametrize("m, rho1, rho2, T", [
-    (FLAT, 0.8, 1.0, math.log(2)), (HYP, 0.5, 1.0, 0.6), (SPH, 0.5, 1.2, 0.5),
-    (ENNEPER, 0.4, 0.9, 0.5), (PROFILE, 0.5, 1.0, 0.4)])
-def test_symmetric_grid_system_is_the_radial_line(monkeypatch, n, m, rho1, rho2, T):
-    # at a phi-independent rho with u = 0, F2 vanishes exactly and F1 is the 1-D
-    # residual on every row, so the solve is the banded line plus one 2-D check
-    runs = _spy_banded_newton(monkeypatch)
-    grid = AnnulusGrid(1.0, math.exp(T), n, n)
-    f = solve_dirichlet(grid, m, rho1, rho2)
-    (residual_1d, steps), = runs
-    assert f.info.iterations == steps >= 1
-    assert f.info.residual_history[-1] <= NEWTON_TOL
-    assert np.array_equal(f.theta, np.broadcast_to(grid.phi, f.theta.shape))
-    s = (grid.t - grid.t[0]) / grid.modulus
-    for line in (rho1 + (rho2 - rho1) * s, f.rho[:, 0] + 0.1 * (rho2 - rho1) * np.sin(np.pi * s)):
-        rho = np.repeat(line[:, None], n, axis=1)
-        F1, F2 = _system_residual(grid, m, rho, np.zeros_like(rho))
+@pytest.mark.parametrize("m, rho1, rho2, T", SYMMETRIC_CASES)
+def test_symmetric_grid_map_is_the_first_integral_profile(n, m, rho1, rho2, T):
+    # the rows are solve_bvp's nodes: the map is its profile, read with no interpolation;
+    # at a phi-independent rho with u = 0 the angular equation F2 balances exactly, and
+    # F1, the 5-point system's radial residual, is the profile's truncation error, O(h^2).
+    # A PCHIP density's second derivative jumps at its knots, and so does the third
+    # derivative of rho: F1 falls at first order on the rows next to a knot.
+    F1_max = []
+    for k in (n, 2 * n):
+        grid = AnnulusGrid(1.0, math.exp(T), k, k)
+        f = solve_dirichlet(grid, m, rho1, rho2)
+        prof = solve_bvp(m, rho1, rho2, grid.modulus, n_steps=k - 1)
+        assert f.profile.slope0 == prof.slope0
+        assert np.array_equal(f.rho, np.repeat(prof.rho[:, None], k, axis=1))
+        assert np.array_equal(f.theta, np.broadcast_to(grid.phi, f.theta.shape))
+        F1, F2 = _system_residual(grid, m, f.rho, f.theta - grid.phi)
         assert not np.any(F2)
-        F = residual_1d(line)
-        assert np.max(np.abs(F1 - F[:, None])) <= 1e-12 * np.max(np.abs(F))
+        F1_max.append(np.max(np.abs(F1)))
+    assert math.log2(F1_max[0] / F1_max[1]) >= (1.0 if m is PROFILE else 1.9)
 
 
-@pytest.mark.parametrize("m, rho1, rho2, T", [(FLAT, 0.8, 1.0, math.log(2)),
-                                              (HYP, 0.5, 1.0, 0.6), (SPH, 0.5, 1.2, 0.5)])
-def test_warm_start_profile_ends_without_a_long_failed_search(monkeypatch, m, rho1, rho2, T):
-    t = AnnulusGrid(1.0, math.exp(T), 128, 128).t
-    reference = _halving_profile(m, rho1, rho2, t)
-    calls = []
-    dG2 = m.dG2
-    monkeypatch.setattr(m, "dG2", lambda r: calls.append(1) or dG2(r))
-    profile, _ = _radial_discrete_profile(m, rho1, rho2, t)
-    assert np.max(np.abs(profile - reference)) <= 1e-12
-    # a full 30-halving search that fails costs 30 dG2 calls on its own
-    assert len(calls) < 30
+@pytest.mark.parametrize("m, rho1, rho2, T", SYMMETRIC_CASES)
+def test_grid_map_is_the_discrete_line_to_second_order(m, rho1, rho2, T):
+    # the 5-point system's own radial solution differs from the map by O(h^2)
+    gaps = []
+    for n in (64, 128):
+        grid = AnnulusGrid(1.0, math.exp(T), n, 32)
+        f = solve_dirichlet(grid, m, rho1, rho2)
+        gaps.append(np.max(np.abs(f.rho[:, 0] - _discrete_line(m, rho1, rho2, grid.t))))
+    assert gaps[0] <= 1e-3 and math.log2(gaps[0] / gaps[1]) >= 1.9
+
+
+def test_grid_map_where_G_dips_below_its_inner_value():
+    # G = s/(1 + s^2)^2 peaks at s = 1/sqrt(3) and falls below G(0.2) before rho = 0.74:
+    # T(0) is undefined, but slopes above v_min = max sqrt(G(0.2)^2 - G^2) reach 0.74
+    s = np.linspace(0.0, 3.0, 301)
+    m = metric_from_profile(np.c_[s, (1.0 + s**2) ** -2])
+    with pytest.raises(DomainError, match="turns back"):
+        critical_modulus(m, 0.2, 0.74)
+    prof = solve_bvp(m, 0.2, 0.74, 0.3)
+    assert prof.is_monotone and prof.residual <= 1e-12 and prof.boundary_error <= 1e-12
+    assert modulus_of_slope(m, 0.2, 0.74, prof.slope0) == pytest.approx(0.3, rel=1e-12)
+    gaps = []
+    for n in (64, 128):
+        grid = AnnulusGrid(1.0, math.exp(0.3), n, 32)
+        f = solve_dirichlet(grid, m, 0.2, 0.74)
+        assert f.diagnostics()["min_drho_dt"] > 0
+        gaps.append(np.max(np.abs(f.rho[:, 0] - _discrete_line(m, 0.2, 0.74, grid.t))))
+    assert math.log2(gaps[0] / gaps[1]) >= 1.9
+
+
+# hyperbolic kappa 1.4 at T(0): the discrete line's O(h^2) error failed both at 128^2
+ITEM_2_CASES = [(0.7, 2.07), (0.725, 1.99)]
+
+
+@pytest.mark.parametrize("n", [128, 256])
+@pytest.mark.parametrize("rho1, rho2", ITEM_2_CASES)
+def test_critical_steep_hyperbolic_maps_pass_verify(rho1, rho2, n):
+    m = constant_curvature_metric(CurvatureBound.negative(1.4))
+    T = critical_modulus(m, rho1, rho2)
+    report = verify_end_to_end(m, 1.0, math.exp(T), rho1, rho2, n_r=n, n_theta=n)
+    assert report.passed and all(block["ok"] for block in report.subchecks.values())
+    assert report.provenance["slope0"] == 0.0 and report.provenance["boundary_error"] <= 1e-12
+
+
+@pytest.mark.parametrize("rho1, rho2", ITEM_2_CASES)
+def test_laplacian_margin_min_converges_at_fourth_order(rho1, rho2):
+    # the margin is the 4th-order second difference's error, -h^4 rho^(6)/90 + O(h^6), and
+    # its minimum sits two rows from the outer circle, where rho^(6) is largest: the order
+    # climbs to 4 from 3.0 (64 -> 128), through 3.44 and 3.52 (128 -> 256)
+    m = constant_curvature_metric(CurvatureBound.negative(1.4))
+    T = critical_modulus(m, rho1, rho2)
+    lap = [np.nanmin(laplacian_bound_check(solve_dirichlet(AnnulusGrid(1.0, math.exp(T), n, 32),
+                                                           m, rho1, rho2)))
+           for n in (64, 128, 256, 512)]
+    orders = np.log2(np.array(lap[:-1]) / np.array(lap[1:]))
+    assert np.all(np.diff(orders) > 0) and orders[1] >= 3.4 and orders[2] >= 3.5
+
+
+@pytest.mark.parametrize("beta", [1.2, 2.0])
+def test_past_the_critical_modulus_verify_fails(beta, capsys):
+    # no monotone radial map exists: solve-map and verify exit 2, and verify's report is
+    # the arithmetic one, failed on its radial_solution sub-check
+    T = beta * critical_modulus(HYP, 0.5, 1.0)
+    grid = AnnulusGrid(1.0, math.exp(T), 128, 128)
+    out = solve_dirichlet(grid, HYP, 0.5, 1.0)
+    assert isinstance(out, NoSolution) and out == solve_bvp(HYP, 0.5, 1.0, grid.modulus)
+    data = ["--metric", '{"kind": "constant", "sign": "negative", "kappa": 1.0}',
+            "--r1", "1.0", "--r2", repr(math.exp(T)), "--rho1", "0.5", "--rho2", "1.0"]
+    capsys.readouterr()
+    assert main(["solve-map", *data]) == 2
+    assert json.loads(capsys.readouterr().out)["status"] == "no_solution"
+    assert main(["verify", *data]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "fail" and list(report["subchecks"]) == ["radial_solution"]
+    block = report["subchecks"]["radial_solution"]
+    assert not block["ok"] and block["critical_outer"] == out.critical_outer
+    assert block["reason"].startswith("critical modulus T(0)")
+    assert report["margin"] == check_bound(HYP.bound, 0.5, 1.0, grid.modulus).margin
 
 
 def _roll_d_phi(F, h):
@@ -360,56 +390,6 @@ def test_winding_numbers_with_a_half_turn_increment(winding, jump):
     d = np.diff(theta, axis=1, append=theta[:, :1])
     reference = np.rint(np.angle(np.exp(1j * d)).sum(axis=1) / (2 * np.pi)).astype(int)
     assert np.array_equal(f.winding_numbers(), reference)
-
-
-def test_warm_verify_reaches_no_sparse_factorisation(monkeypatch):
-    import scipy.sparse
-    import scipy.sparse.linalg
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a sparse matrix was built or factorised on the warm path")
-
-    monkeypatch.setattr(scipy.sparse.linalg, "spsolve", refuse)
-    monkeypatch.setattr(scipy.sparse, "diags", refuse)
-    runs = _spy_banded_newton(monkeypatch)
-    for m, rho1, rho2, T in ((FLAT, 0.8, 1.0, math.log(2)), (HYP, 0.5, 1.0, 0.6),
-                             (SPH, 0.5, 1.2, 0.5)):
-        report = verify_end_to_end(m, 1.0, math.exp(T), rho1, rho2, n_r=64, n_theta=64)
-        assert report.provenance["newton_iterations"] == runs[-1][1] >= 1
-        assert report.provenance["final_system_residual"] <= NEWTON_TOL
-        assert all(block["ok"] for block in report.subchecks.values())
-
-
-@pytest.mark.parametrize("m, rho1, rho2, T", [(FLAT, 0.8, 1.0, math.log(2)),
-                                              (HYP, 0.5, 1.0, 0.6), (SPH, 0.5, 1.2, 0.5)])
-def test_banded_warm_start_step_matches_a_dense_solve(monkeypatch, m, rho1, rho2, T):
-    from nitsche_lab import pde
-
-    steps = []
-    damped_newton = pde._damped_newton
-
-    def spy(residual, newton_step, x, tol, max_iter):
-        def checked_step(rho, F):  # the 1-D step against the dense tridiagonal solve
-            h, off = grid.h_t, np.full(len(rho) - 3, 1 / grid.h_t**2)
-            A = np.diag(off, 1) + np.diag(off, -1)
-            A += np.diag(-2 / h**2 - 0.5 * np.asarray(m.d2G2(rho[1:-1])))
-            step = newton_step(rho, F)
-            steps.append((rho, step[1:-1], np.linalg.solve(A, -F)))
-            return step
-        return damped_newton(residual, checked_step, x, tol, max_iter)
-
-    monkeypatch.setattr(pde, "_damped_newton", spy)
-    for n in (64, 128):
-        grid = AnnulusGrid(1.0, math.exp(T), n, n)
-        first = len(steps)
-        f = solve_dirichlet(grid, m, rho1, rho2)
-        # the iterates stepped from, and the end: one more than the steps taken
-        iterates = {rho.tobytes() for rho, _, _ in steps[first:]} | {f.rho[:, 0].tobytes()}
-        assert f.info.iterations == len(iterates) - 1 >= 1
-        assert f.info.residual_history[-1] <= NEWTON_TOL
-    assert steps
-    for _, banded, dense in steps:
-        assert np.max(np.abs(banded - dense)) <= 1e-13
 
 
 def test_constant_boundary_circle_map_satisfies_discrete_equation():
